@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .components import ServiceName, check_identifier
+from .components import ServiceName, _loads, check_identifier
 from .errors import NoInteraction, SchemaError
 from .statechart import ChartSet, Statechart, extract_interfaces
 
@@ -107,7 +108,7 @@ class Cig:
             if node.ref in known:
                 raise ValueError(f"duplicate node {node.ref}")
             known.add(node.ref)
-        by_ref = {node.ref: node for node in self.nodes}
+        by_ref = self._by_ref
         for edge in self.edges:
             for ref in (edge.source, edge.target):
                 if ref not in by_ref:
@@ -120,11 +121,12 @@ class Cig:
             if ref in known:
                 raise ValueError(f"removed state {ref} still appears as a node")
 
+    @cached_property
+    def _by_ref(self) -> dict[StateRef, CigNode]:
+        return {node.ref: node for node in self.nodes}
+
     def node(self, component: str, state: str) -> CigNode:
-        for n in self.nodes:
-            if n.component == component and n.state == state:
-                return n
-        raise KeyError((component, state))
+        return self._by_ref[(component, state)]
 
 
 def _emissions(chart: Statechart, state: str) -> set[ServiceName]:
@@ -381,8 +383,4 @@ def cig_to_json(cig: Cig) -> str:
 
 
 def cig_from_json(text: str) -> Cig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    return cig_from_dict(data)
+    return cig_from_dict(_loads(text))

@@ -97,8 +97,8 @@ def _emit(text: str, out: str | None):
             _die(2, str(exc))
 
 
-def cmd_parse(args) -> RunReport:
-    report = RunReport(command="parse", inputs=list(args.files))
+def cmd_parse(args, report: RunReport):
+    report.inputs = list(args.files)
     for path in args.files:
         try:
             chart = _parse_chart_file(path)
@@ -106,11 +106,10 @@ def cmd_parse(args) -> RunReport:
             report.exit_code = 2
             continue
         sys.stdout.write(serialize_statechart(chart))
-    return report
 
 
-def cmd_compose(args) -> RunReport:
-    report = RunReport(command="compose", inputs=list(args.files))
+def cmd_compose(args, report: RunReport):
+    report.inputs = list(args.files)
     if len(args.files) < 2:
         _die(2, "compose needs at least two statechart files")
     charts = _chart_set(args.files)
@@ -125,11 +124,10 @@ def cmd_compose(args) -> RunReport:
     except NotComposable as exc:
         _die(1, str(exc))
     _emit(composition_result_to_json(result), args.out)
-    return report
 
 
-def cmd_cig(args) -> RunReport:
-    report = RunReport(command="cig", inputs=list(args.files))
+def cmd_cig(args, report: RunReport):
+    report.inputs = list(args.files)
     if len(args.files) < 2:
         _die(2, "cig needs at least two statechart files")
     charts = _chart_set(args.files)
@@ -143,7 +141,6 @@ def cmd_cig(args) -> RunReport:
         sys.stderr.write(_classification_table(charts))
     text = cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)
     _emit(text, args.out)
-    return report
 
 
 def _classification_table(charts: ChartSet) -> str:
@@ -161,8 +158,8 @@ def _classification_table(charts: ChartSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_tests_gen(args) -> RunReport:
-    report = RunReport(command="tests gen", inputs=[args.cig_path, *args.files])
+def cmd_tests_gen(args, report: RunReport):
+    report.inputs = [args.cig_path, *args.files]
     try:
         cig = cig_from_json(_read(args.cig_path))
     except SchemaError as exc:
@@ -175,14 +172,10 @@ def cmd_tests_gen(args) -> RunReport:
     except SchemaError as exc:
         _die(2, str(exc))
     _emit(library_to_json(library), args.out)
-    return report
 
 
-def cmd_tests_compose(args) -> RunReport:
-    report = RunReport(
-        command="tests compose",
-        inputs=[args.t1, args.t2, args.composition, args.tnew],
-    )
+def cmd_tests_compose(args, report: RunReport):
+    report.inputs = [args.t1, args.t2, args.composition, args.tnew]
 
     def load_library(path: str):
         try:
@@ -202,7 +195,6 @@ def cmd_tests_compose(args) -> RunReport:
     except DuplicateTestId as exc:
         _die(1, str(exc))
     _emit(composed_result_to_json(result), args.out)
-    return report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -256,16 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> RunReport:
     """Parse arguments and execute; returns the report instead of exiting."""
     args = _build_parser().parse_args(argv)
+    command = args.command if args.command != "tests" else f"tests {args.tests_command}"
+    report = RunReport(command=command)
     try:
-        return args.handler(args)
+        args.handler(args, report)
     except _Fail as fail:
-        command = args.command if args.command != "tests" else f"tests {args.tests_command}"
-        return RunReport(command=command, exit_code=fail.code)
+        report.exit_code = fail.code
     except CigError as exc:
         # safety net: anything a handler did not contextualize
         print(f"cig: error: {exc}", file=sys.stderr)
-        code = 1 if isinstance(exc, (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)) else 2
-        return RunReport(command=args.command, exit_code=code)
+        report.exit_code = 1 if isinstance(exc, (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)) else 2
+    return report
 
 
 def main(argv=None) -> int:

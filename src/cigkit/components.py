@@ -293,6 +293,7 @@ def composition_result_from_json(text: str) -> CompositionResult:
 
 
 def _loads(text: str) -> object:
+    """Parse JSON text, reporting malformed input as a SchemaError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -25,6 +25,7 @@ parameter token ``2..max`` style denotes a value range and is kept verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .components import _IDENTIFIER_RE, Component, ServiceName, check_identifier
 from .errors import (
@@ -108,8 +109,17 @@ class Statechart:
                         f"transition endpoint {endpoint!r} is not declared in {self.component_name!r}"
                     )
 
+    @cached_property
+    def outgoing_index(self) -> dict[str, tuple[tuple[int, Transition], ...]]:
+        """Each state's outgoing transitions with their declaration indices,
+        in declaration order. Built on first use and kept with the chart."""
+        index: dict[str, list[tuple[int, Transition]]] = {state: [] for state in self.states}
+        for i, t in enumerate(self.transitions):
+            index[t.source].append((i, t))
+        return {state: tuple(pairs) for state, pairs in index.items()}
+
     def outgoing(self, state: str) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.source == state)
+        return tuple(t for _, t in self.outgoing_index.get(state, ()))
 
 
 @dataclass(frozen=True)
@@ -136,11 +146,12 @@ class ChartSet:
     def names(self) -> tuple[str, ...]:
         return tuple(c.component_name for c in self.charts)
 
+    @cached_property
+    def _by_name(self) -> dict[str, Statechart]:
+        return {chart.component_name: chart for chart in self.charts}
+
     def get(self, name: str) -> Statechart:
-        for chart in self.charts:
-            if chart.component_name == name:
-                return chart
-        raise KeyError(name)
+        return self._by_name[name]
 
 
 def _strip_comment(line: str) -> str:

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable
 
 from .cig import Cig, CigEdge, StateRef
-from .components import ServiceName, check_identifier
+from .components import ServiceName, _loads, check_identifier
 from .errors import DuplicateTestId, SchemaError, UnreachableProvider
 from .statechart import ChartSet, Statechart, Transition
 
@@ -156,26 +156,28 @@ def compose_libraries(
     )
 
 
-def _event_path(chart: Statechart, goal: str) -> tuple[Transition, ...]:
-    """Cheapest transition sequence from the initial state to ``goal``.
+def _event_paths(chart: Statechart) -> dict[str, tuple[Transition, ...]]:
+    """Cheapest transition sequence from the initial state to every reachable
+    state; unreachable states are absent.
 
     Cost is the number of triggered transitions; automatic ones are free.
     Ties break on the event-name sequence, then on transition declaration
-    order, so the result is unique.
+    order, so each result is unique. A state's path is the one it is first
+    popped with, and the pop order does not depend on which state is wanted,
+    so one exhaustive search answers for every state.
     """
     heap: list[tuple[int, tuple[str, ...], tuple[int, ...], str]] = [
         (0, (), (), chart.initial)
     ]
-    visited = set()
+    paths: dict[str, tuple[Transition, ...]] = {}
+    index = chart.outgoing_index
     while heap:
         count, events, indices, state = heapq.heappop(heap)
-        if state in visited:
+        if state in paths:
             continue
-        visited.add(state)
-        if state == goal:
-            return tuple(chart.transitions[i] for i in indices)
-        for i, t in enumerate(chart.transitions):
-            if t.source != state or t.target in visited:
+        paths[state] = tuple(chart.transitions[i] for i in indices)
+        for i, t in index[state]:
+            if t.target in paths:
                 continue
             if t.event is None:
                 heapq.heappush(heap, (count, events, indices + (i,), t.target))
@@ -183,10 +185,7 @@ def _event_path(chart: Statechart, goal: str) -> tuple[Transition, ...]:
                 heapq.heappush(
                     heap, (count + 1, events + (str(t.event),), indices + (i,), t.target)
                 )
-    raise UnreachableProvider(
-        f"no event path reaches state {goal!r} from {chart.initial!r} "
-        f"in component {chart.component_name!r}"
-    )
+    return paths
 
 
 def _setup_steps(component: str, path: tuple[Transition, ...]) -> list[TestStep]:
@@ -235,6 +234,8 @@ def generate_new_tests(
     for component in cig.components:
         if component not in by_name:
             raise SchemaError(f"CIG references component {component!r} with no statechart")
+    paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
+    setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
     cases = []
     for edge in cig.edges:
         emitter_chart = by_name[edge.source[0]]
@@ -255,13 +256,24 @@ def generate_new_tests(
             )
         )
         final = _final_step(case_id, edge, emitter_chart, acceptor_chart, warn)
-        steps = _setup_steps(emitter_chart.component_name, _event_path(emitter_chart, edge.source[1]))
+        setup = setup_by_source.get(edge.source)
+        if setup is None:
+            component, state = edge.source
+            if component not in paths_by_component:
+                paths_by_component[component] = _event_paths(emitter_chart)
+            path = paths_by_component[component].get(state)
+            if path is None:
+                raise UnreachableProvider(
+                    f"no event path reaches state {state!r} from {emitter_chart.initial!r} "
+                    f"in component {component!r}"
+                )
+            setup = setup_by_source[edge.source] = tuple(_setup_steps(component, path))
         cases.append(
             TestCase(
                 id=case_id,
                 owner=edge.source[0],
                 services=frozenset({edge.service}),
-                steps=tuple(steps) + (final,),
+                steps=setup + (final,),
                 origin=Origin.GENERATED,
             )
         )
@@ -424,10 +436,3 @@ def composed_result_to_json(result: ComposedLibraryResult) -> str:
 
 def composed_result_from_json(text: str) -> ComposedLibraryResult:
     return composed_result_from_dict(_loads(text))
-
-
-def _loads(text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None

@@ -6,9 +6,10 @@ works on plain sets; the replay walker explores every nondeterministic
 execution of a statechart instead of trusting the generator's path choice.
 """
 
+import heapq
 import random
 
-from cigkit import ActionEmission, Statechart, Transition
+from cigkit import ActionEmission, Statechart, Transition, UnreachableProvider
 
 
 def oracle_compose(p1, r1, p2, r2):
@@ -131,6 +132,35 @@ def replay_witness(chart, steps, provided_state, service):
         return False
 
     return go(chart.initial, 0, {chart.initial})
+
+
+def oracle_event_path(chart, goal):
+    """The per-goal path search generated cases are set up with.
+
+    Returns the cheapest transition sequence from the initial state to
+    ``goal``: cost is the number of triggered transitions, automatic ones are
+    free, and ties break on the event-name sequence, then on transition
+    declaration order. Candidates are explored cheapest first over every
+    transition of the chart, and the search stops as soon as ``goal`` comes
+    out of the queue. Raises UnreachableProvider when it never does.
+    """
+    queue = [(0, (), (), chart.initial)]
+    done = set()
+    while queue:
+        cost, names, taken, state = heapq.heappop(queue)
+        if state in done:
+            continue
+        done.add(state)
+        if state == goal:
+            return tuple(chart.transitions[i] for i in taken)
+        for i, t in enumerate(chart.transitions):
+            if t.source != state or t.target in done:
+                continue
+            if t.event is None:
+                heapq.heappush(queue, (cost, names, taken + (i,), t.target))
+            else:
+                heapq.heappush(queue, (cost + 1, names + (str(t.event),), taken + (i,), t.target))
+    raise UnreachableProvider(f"no event path reaches state {goal!r}")
 
 
 def random_library(rng, prefix, universe, max_cases=8):

@@ -212,6 +212,9 @@ def test_cig_json_round_trip(fixture_charts):
     back = cig_from_json(text)
     assert back == cig
     assert back.node(DISP, "Empty").kinds == {Kind.PROVIDED, Kind.REQUIRED}
+    for ref in cig.removed:
+        with pytest.raises(KeyError):
+            back.node(*ref)
 
 
 def test_cig_json_schema_errors():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import DISPENSER, VENDING
 from cigkit import (
+    DuplicateTestId,
     build_cig,
     cig_to_dot,
     cig_to_json,
@@ -15,6 +16,7 @@ from cigkit import (
     parse_statechart,
     serialize_statechart,
 )
+import cigkit.cli as cli
 from cigkit.cli import main, run
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
@@ -261,3 +263,71 @@ def test_run_reports_inputs():
     assert report.command == "parse"
     assert report.inputs == [str(VENDING)]
     assert report.exit_code == 0
+
+
+def test_failed_run_keeps_its_report(capsys, tmp_path):
+    report = run(["tests", "gen", "--cig", "/nonexistent.json", *FIXTURE_ARGS])
+    assert (report.command, report.exit_code) == ("tests gen", 2)
+    assert report.inputs == ["/nonexistent.json", *FIXTURE_ARGS]
+    # a failure after generation keeps the warnings it raised
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    report = run(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS, "--out", str(tmp_path)])
+    assert report.exit_code == 2
+    assert report.inputs == [cig_path, *FIXTURE_ARGS]
+    assert len(report.warnings) == 2
+
+
+def test_safety_net_keeps_the_report(capsys, tmp_path, monkeypatch):
+    # an error the handler does not contextualize, raised after a warning
+    def generate(cig, charts, warn):
+        warn("first")
+        raise DuplicateTestId("clash")
+
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "generate_new_tests", generate)
+    report = run(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS])
+    assert (report.command, report.exit_code) == ("tests gen", 1)
+    assert report.inputs == [cig_path, *FIXTURE_ARGS]
+    assert report.warnings == ["first"]
+    assert capsys.readouterr().err.endswith("cig: error: clash\n")
+
+
+_PROVIDER_STATES = {
+    # emits through a trigger but cannot be reached from W
+    "X": "transition X -> X on fire do alarm\n",
+    # reachable, but emits only through an automatic transition
+    "Y": "transition W -> Y on go\ntransition Y -> W do alarm\ntransition Y -> Y on keep\n",
+    # neither reachable nor triggerable
+    "U": "transition U -> W do alarm\ntransition U -> U on keep\n",
+}
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("XYU", "no event path reaches state 'X' from 'W' in component 'A'"),
+        ("YXU", "state 'Y' of 'A' has no triggered transition emitting 'alarm'"),
+        ("UXY", "state 'U' of 'A' has no triggered transition emitting 'alarm'"),
+    ],
+)
+def test_tests_gen_reports_the_first_failing_edge(capsys, tmp_path, order, message):
+    # edges are checked in graph order, and on each edge the emitting
+    # transition is checked before the path that leads to its state
+    a = _write(
+        tmp_path,
+        "a.sc",
+        "component A\nstate W\n"
+        + "".join(f"state {s}\n" for s in order)
+        + "initial W\n"
+        + "".join(_PROVIDER_STATES[s] for s in order)
+        + "end\n",
+    )
+    b = _write(tmp_path, "b.sc", "component B\nstate Z\ninitial Z\ntransition Z -> Z on alarm\nend\n")
+    cig_path = tmp_path / "cig.json"
+    assert main(["cig", a, b, "--out", str(cig_path)]) == 0
+    capsys.readouterr()
+    assert main(["tests", "gen", "--cig", str(cig_path), a, b]) == 1
+    assert capsys.readouterr().err == f"cig: error: {message}\n"

@@ -163,6 +163,27 @@ def test_statechart_constructor_validates():
         )
 
 
+def test_outgoing_index_keeps_declaration_order_and_equality(vending_chart):
+    text = serialize_statechart(vending_chart)
+    fresh = parse_statechart(text)
+    for state in vending_chart.states:
+        pairs = vending_chart.outgoing_index[state]
+        assert [t for _, t in pairs] == [t for t in vending_chart.transitions if t.source == state]
+        assert all(vending_chart.transitions[i] is t for i, t in pairs)
+        assert vending_chart.outgoing(state) == tuple(t for _, t in pairs)
+    assert vending_chart.outgoing("Nowhere") == ()
+    # the index is a cache, not a field: a chart that built it still equals,
+    # hashes and prints like one that did not
+    assert vending_chart == fresh and hash(vending_chart) == hash(fresh)
+    assert repr(vending_chart) == repr(fresh)
+
+
+def test_chart_set_get(fixture_charts, dispenser_chart):
+    assert fixture_charts.get("Dispenser") is dispenser_chart
+    with pytest.raises(KeyError):
+        fixture_charts.get("Nobody")
+
+
 def test_chart_set_rejects_duplicate_components(vending_chart):
     with pytest.raises(DuplicateComponent):
         ChartSet((vending_chart, vending_chart))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import cigkit.testlib as testlib
 from cigkit import (
     ChartSet,
     DuplicateTestId,
@@ -19,6 +22,7 @@ from cigkit import (
     parse_statechart,
     satisfied_tests,
 )
+from oracles import oracle_event_path, random_chart
 
 VM = "VendingMachine"
 DISP = "Dispenser"
@@ -299,6 +303,40 @@ def test_generate_rejects_untriggerable_emission():
     )
     with pytest.raises(UnreachableProvider, match="no triggered transition"):
         generate_new_tests(build_cig(charts), charts)
+
+
+def test_event_paths_match_per_goal_search():
+    # one exhaustive search per chart must give every state the path the
+    # per-goal search finds, and leave out exactly the states it cannot reach
+    rng = random.Random(20100611)
+    for _ in range(1200):
+        chart = random_chart(
+            rng, "C", events=("a", "b", "c"), actions=("x", "y"), max_states=12, max_transitions=30
+        )
+        paths = testlib._event_paths(chart)
+        for state in chart.states:
+            try:
+                expected = oracle_event_path(chart, state)
+            except UnreachableProvider:
+                assert state not in paths, (chart, state)
+            else:
+                assert paths.get(state) == expected, (chart, state)
+
+
+def test_generate_searches_once_per_emitting_chart(fixture_charts, monkeypatch):
+    calls = []
+    search = testlib._event_paths
+
+    def counting(chart):
+        calls.append(chart.component_name)
+        return search(chart)
+
+    monkeypatch.setattr(testlib, "_event_paths", counting)
+    cig = build_cig(fixture_charts)
+    library = generate_new_tests(cig, fixture_charts)
+    emitters = {edge.source[0] for edge in cig.edges}
+    assert len(library) == len(cig.edges) == 5
+    assert sorted(calls) == sorted(emitters) == [DISP, VM]
 
 
 def test_generate_rejects_mismatched_charts(fixture_charts, dispenser_chart):
