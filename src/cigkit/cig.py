@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .components import ServiceName, _loads, check_identifier
 from .errors import NoInteraction, SchemaError
-from .statechart import ChartSet, Statechart, extract_interfaces
+from .statechart import ChartSet, Transition, extract_interfaces
 
 StateRef = tuple[str, str]  # (component name, state name)
 
@@ -109,7 +110,11 @@ class Cig:
                 raise ValueError(f"duplicate node {node.ref}")
             known.add(node.ref)
         by_ref = self._by_ref
+        seen_edges = set()
         for edge in self.edges:
+            if edge in seen_edges:
+                raise ValueError(f"duplicate edge {edge.source} -> {edge.target} on {edge.service}")
+            seen_edges.add(edge)
             for ref in (edge.source, edge.target):
                 if ref not in by_ref:
                     raise ValueError(f"edge endpoint {ref} is not a node")
@@ -129,12 +134,33 @@ class Cig:
         return self._by_ref[(component, state)]
 
 
-def _emissions(chart: Statechart, state: str) -> set[ServiceName]:
-    return {a.action for t in chart.outgoing(state) for a in t.actions}
+def _scan(charts: ChartSet):
+    """Each service's emitting and accepting states, and each state's outgoing
+    transitions, all in chart then state order."""
+    emitters: dict[ServiceName, list[StateRef]] = {}
+    acceptors: dict[ServiceName, list[StateRef]] = {}
+    outgoing: dict[StateRef, list[Transition]] = {}
+    for chart in charts:
+        for state, pairs in chart.outgoing_index.items():
+            ref = (chart.component_name, state)
+            outgoing[ref] = [t for _, t in pairs]
+            for service in {a.action for _, t in pairs for a in t.actions}:
+                emitters.setdefault(service, []).append(ref)
+            for service in {t.event for _, t in pairs if t.event is not None}:
+                acceptors.setdefault(service, []).append(ref)
+    return emitters, acceptors, outgoing
 
 
-def _triggers(chart: Statechart, state: str) -> set[ServiceName]:
-    return {t.event for t in chart.outgoing(state) if t.event is not None}
+def _cross(emitters, acceptors, excluded: frozenset[StateRef]) -> dict[ServiceName, ServiceSides]:
+    out: dict[ServiceName, ServiceSides] = {}
+    for service in sorted(set(emitters) & set(acceptors)):
+        emitting = [ref for ref in emitters[service] if ref not in excluded]
+        accepting = [ref for ref in acceptors[service] if ref not in excluded]
+        emit = [e for e in emitting if any(a[0] != e[0] for a in accepting)]
+        accept = [a for a in accepting if any(e[0] != a[0] for e in emitting)]
+        if emit and accept:
+            out[service] = ServiceSides(emitters=tuple(emit), acceptors=tuple(accept))
+    return out
 
 
 def cross_services(
@@ -147,32 +173,45 @@ def cross_services(
     ``excluded`` are ignored entirely. Keys are sorted; sides follow chart and
     state declaration order.
     """
-    emitters: dict[ServiceName, list[StateRef]] = {}
-    acceptors: dict[ServiceName, list[StateRef]] = {}
-    for chart in charts:
-        for state in chart.states:
-            ref = (chart.component_name, state)
-            if ref in excluded:
-                continue
-            for service in sorted(_emissions(chart, state)):
-                emitters.setdefault(service, []).append(ref)
-            for service in sorted(_triggers(chart, state)):
-                acceptors.setdefault(service, []).append(ref)
-    out: dict[ServiceName, ServiceSides] = {}
-    for service in sorted(set(emitters) & set(acceptors)):
-        emit = [
-            e
-            for e in emitters[service]
-            if any(a[0] != e[0] for a in acceptors[service])
-        ]
-        accept = [
-            a
-            for a in acceptors[service]
-            if any(e[0] != a[0] for e in emitters[service])
-        ]
-        if emit and accept:
-            out[service] = ServiceSides(emitters=tuple(emit), acceptors=tuple(accept))
-    return out
+    emitters, acceptors, _ = _scan(charts)
+    return _cross(emitters, acceptors, excluded)
+
+
+class _Analysis(NamedTuple):
+    interacts: bool  # some service crossed components before removal
+    removed: frozenset[StateRef]
+    cross: dict[ServiceName, ServiceSides]  # what remains after removal
+    kinds: dict[StateRef, frozenset[Kind]]  # chart then state order
+
+
+def _analyze(charts: ChartSet) -> _Analysis:
+    """Cross services, switching states and the classification, all derived
+    from one scan of the charts' transitions."""
+    if len(charts) < 2:
+        raise ValueError("need at least two statecharts")
+    emitters, acceptors, outgoing = _scan(charts)
+    before = _cross(emitters, acceptors, frozenset())
+    removed = frozenset(
+        ref
+        for ref, transitions in outgoing.items()
+        if transitions
+        and all(t.event is None and any(a.action in before for a in t.actions) for t in transitions)
+    )
+    cross = _cross(emitters, acceptors, removed)
+    provided = {ref for sides in cross.values() for ref in sides.emitters}
+    required = {ref for sides in cross.values() for ref in sides.acceptors}
+    kinds: dict[StateRef, frozenset[Kind]] = {}
+    for ref in outgoing:
+        if ref in removed:
+            kinds[ref] = frozenset({Kind.REMOVED})
+            continue
+        found = set()
+        if ref in provided:
+            found.add(Kind.PROVIDED)
+        if ref in required:
+            found.add(Kind.REQUIRED)
+        kinds[ref] = frozenset(found) if found else frozenset({Kind.INTERMEDIATE})
+    return _Analysis(bool(before), removed, cross, kinds)
 
 
 def find_switching_states(charts: ChartSet) -> frozenset[StateRef]:
@@ -181,20 +220,7 @@ def find_switching_states(charts: ChartSet) -> frozenset[StateRef]:
     Such a state consumes no event and only pushes work to a peer component,
     so it is not an interface in its own right and is dropped from the graph.
     """
-    _require_pair(charts)
-    cross = cross_services(charts)
-    switching = set()
-    for chart in charts:
-        for state in chart.states:
-            outgoing = chart.outgoing(state)
-            if not outgoing:
-                continue
-            if all(
-                t.event is None and any(a.action in cross for a in t.actions)
-                for t in outgoing
-            ):
-                switching.add((chart.component_name, state))
-    return frozenset(switching)
+    return _analyze(charts).removed
 
 
 def classify_states(charts: ChartSet) -> dict[StateRef, frozenset[Kind]]:
@@ -204,25 +230,7 @@ def classify_states(charts: ChartSet) -> dict[StateRef, frozenset[Kind]]:
     service whose only emitters were removed no longer marks its acceptors as
     required.
     """
-    _require_pair(charts)
-    removed = find_switching_states(charts)
-    cross = cross_services(charts, excluded=removed)
-    provided = {ref for sides in cross.values() for ref in sides.emitters}
-    required = {ref for sides in cross.values() for ref in sides.acceptors}
-    out: dict[StateRef, frozenset[Kind]] = {}
-    for chart in charts:
-        for state in chart.states:
-            ref = (chart.component_name, state)
-            if ref in removed:
-                out[ref] = frozenset({Kind.REMOVED})
-                continue
-            kinds = set()
-            if ref in provided:
-                kinds.add(Kind.PROVIDED)
-            if ref in required:
-                kinds.add(Kind.REQUIRED)
-            out[ref] = frozenset(kinds) if kinds else frozenset({Kind.INTERMEDIATE})
-    return out
+    return _analyze(charts).kinds
 
 
 def build_cig(charts: ChartSet) -> Cig:
@@ -234,45 +242,32 @@ def build_cig(charts: ChartSet) -> Cig:
     Raises NoInteraction when the charts share no services, or when none
     remain once switching states are removed.
     """
-    _require_pair(charts)
+    analysis = _analyze(charts)
     for chart in charts:
-        extract_interfaces(chart)  # surfaces DisjointnessViolation early
-    if not cross_services(charts):
+        extract_interfaces(chart)  # surfaces DisjointnessViolation before NoInteraction
+    if not analysis.interacts:
         raise NoInteraction("the charts share no services; nothing interacts")
-    removed = find_switching_states(charts)
-    cross = cross_services(charts, excluded=removed)
-    if not cross:
+    if not analysis.cross:
         raise NoInteraction("no cross-component services remain after switching-state removal")
-    classification = classify_states(charts)
-    order: dict[StateRef, tuple[int, int]] = {}
-    for ci, chart in enumerate(charts):
-        for si, state in enumerate(chart.states):
-            order[(chart.component_name, state)] = (ci, si)
-    nodes = tuple(
-        CigNode(component=ref[0], state=ref[1], kinds=kinds)
-        for ref, kinds in classification.items()
-        if Kind.REMOVED not in kinds
-    )
+    order = {ref: i for i, ref in enumerate(analysis.kinds)}
     edges = [
         CigEdge(source=emitter, target=acceptor, service=service)
-        for service, sides in cross.items()
+        for service, sides in analysis.cross.items()
         for emitter in sides.emitters
         for acceptor in sides.acceptors
         if emitter[0] != acceptor[0]
     ]
     edges.sort(key=lambda e: (order[e.source], str(e.service), order[e.target]))
-    removed_ordered = tuple(sorted(removed, key=lambda ref: order[ref]))
     return Cig(
         components=tuple(charts.names),
-        removed=removed_ordered,
-        nodes=nodes,
+        removed=tuple(ref for ref, kinds in analysis.kinds.items() if Kind.REMOVED in kinds),
+        nodes=tuple(
+            CigNode(component=ref[0], state=ref[1], kinds=kinds)
+            for ref, kinds in analysis.kinds.items()
+            if Kind.REMOVED not in kinds
+        ),
         edges=tuple(edges),
     )
-
-
-def _require_pair(charts: ChartSet):
-    if len(charts) < 2:
-        raise ValueError("need at least two statecharts")
 
 
 def cig_to_dot(cig: Cig) -> str:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cig import build_cig, cig_from_json, cig_to_dot, cig_to_json, classify_states, format_kinds
+from .cig import Cig, Kind, build_cig, cig_from_json, cig_to_dot, cig_to_json, format_kinds
 from .components import compose_many, composition_result_from_json, composition_result_to_json
 from .errors import (
     CigError,
@@ -138,18 +138,19 @@ def cmd_cig(args, report: RunReport):
     except DisjointnessViolation as exc:
         _die(2, str(exc))
     if args.report:
-        sys.stderr.write(_classification_table(charts))
+        sys.stderr.write(_classification_table(charts, cig))
     text = cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)
     _emit(text, args.out)
 
 
-def _classification_table(charts: ChartSet) -> str:
+def _classification_table(charts: ChartSet, cig: Cig) -> str:
     rows = [("component", "state", "classification")]
-    classification = classify_states(charts)
+    removed = set(cig.removed)
     for chart in charts:
         for state in chart.states:
-            kinds = classification[(chart.component_name, state)]
-            rows.append((chart.component_name, state, format_kinds(kinds)))
+            ref = (chart.component_name, state)
+            label = Kind.REMOVED.value if ref in removed else format_kinds(cig.node(*ref).kinds)
+            rows.append((chart.component_name, state, label))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     lines = [
         "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()

@@ -116,19 +116,30 @@ class CompositionStep:
 class CompositionResult:
     """Outcome of composing components.
 
-    ``satisfied``, ``left_name`` and ``right_name`` describe the final pairwise
-    step; ``steps`` records the whole fold in order, one entry per pair.
+    ``steps`` records the whole fold in order, one entry per pair; there is at
+    least one. ``satisfied``, ``left_name`` and ``right_name`` describe the
+    final pairwise step.
     """
 
     composed: Component
-    satisfied: frozenset[ServiceName]
-    left_name: str
-    right_name: str
     steps: tuple[CompositionStep, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "satisfied", _service_set(self.satisfied))
         object.__setattr__(self, "steps", tuple(self.steps))
+        if not self.steps:
+            raise ValueError("a composition result needs at least one step")
+
+    @property
+    def satisfied(self) -> frozenset[ServiceName]:
+        return self.steps[-1].satisfied
+
+    @property
+    def left_name(self) -> str:
+        return self.steps[-1].left
+
+    @property
+    def right_name(self) -> str:
+        return self.steps[-1].right
 
     def all_satisfied(self) -> frozenset[ServiceName]:
         """Union of the satisfied sets over every fold step."""
@@ -154,13 +165,7 @@ def compose(c1: Component, c2: Component) -> CompositionResult:
         required=(c1.required | c2.required) - satisfied,
     )
     step = CompositionStep(left=c1.name, right=c2.name, satisfied=satisfied)
-    return CompositionResult(
-        composed=composed,
-        satisfied=satisfied,
-        left_name=c1.name,
-        right_name=c2.name,
-        steps=(step,),
-    )
+    return CompositionResult(composed=composed, steps=(step,))
 
 
 def compose_many(components: Sequence[Component]) -> CompositionResult:
@@ -175,19 +180,11 @@ def compose_many(components: Sequence[Component]) -> CompositionResult:
         raise ValueError("compose_many needs at least two components")
     steps: list[CompositionStep] = []
     accumulated = components[0]
-    result = None
     for nxt in components[1:]:
         result = compose(accumulated, nxt)
         steps.extend(result.steps)
         accumulated = result.composed
-    assert result is not None
-    return CompositionResult(
-        composed=accumulated,
-        satisfied=result.satisfied,
-        left_name=result.left_name,
-        right_name=result.right_name,
-        steps=tuple(steps),
-    )
+    return CompositionResult(composed=accumulated, steps=tuple(steps))
 
 
 def component_to_dict(component: Component) -> dict:
@@ -273,15 +270,13 @@ def composition_result_from_dict(data: object) -> CompositionResult:
         except (InvalidIdentifier, TypeError) as exc:
             raise SchemaError(f"invalid composition step: {exc}") from None
     try:
-        return CompositionResult(
-            composed=component_from_dict(data["composed"]),
-            satisfied=frozenset(data["satisfied"]),
-            left_name=data["left"],
-            right_name=data["right"],
-            steps=tuple(steps),
-        )
-    except (InvalidIdentifier, TypeError) as exc:
+        result = CompositionResult(composed=component_from_dict(data["composed"]), steps=tuple(steps))
+        satisfied = _service_set(data["satisfied"])
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"invalid composition result: {exc}") from None
+    if (data["left"], data["right"], satisfied) != (result.left_name, result.right_name, result.satisfied):
+        raise SchemaError("composition result 'left', 'right' and 'satisfied' must match its last step")
+    return result
 
 
 def composition_result_to_json(result: CompositionResult) -> str:

@@ -163,6 +163,84 @@ def oracle_event_path(chart, goal):
     raise UnreachableProvider(f"no event path reaches state {goal!r}")
 
 
+def oracle_classify(charts):
+    """The state classification as three passes over every transition.
+
+    Pass one finds the cross services: names some state emits and some state
+    of another component accepts. Pass two finds the switching states: every
+    outgoing transition is automatic and emits a cross service. Pass three
+    finds the cross services again with those states left out. Returns
+    ``(shared, removed, kinds, edges)``: whether pass one found any service,
+    the removed states, each state's kind codes ('P', 'R', 'G' or 'Removed')
+    and the (source, target, service) edges after removal.
+    """
+
+    def cross(excluded):
+        emit, accept = {}, {}
+        for chart in charts:
+            for t in chart.transitions:
+                ref = (chart.component_name, t.source)
+                if ref in excluded:
+                    continue
+                for a in t.actions:
+                    emit.setdefault(str(a.action), set()).add(ref)
+                if t.event is not None:
+                    accept.setdefault(str(t.event), set()).add(ref)
+        out = {}
+        for service in set(emit) & set(accept):
+            emitters = {e for e in emit[service] if any(a[0] != e[0] for a in accept[service])}
+            acceptors = {a for a in accept[service] if any(e[0] != a[0] for e in emit[service])}
+            if emitters and acceptors:
+                out[service] = (emitters, acceptors)
+        return out
+
+    before = cross(set())
+    removed = set()
+    for chart in charts:
+        for state in chart.states:
+            outgoing = [t for t in chart.transitions if t.source == state]
+            if outgoing and all(
+                t.event is None and any(str(a.action) in before for a in t.actions) for t in outgoing
+            ):
+                removed.add((chart.component_name, state))
+    after = cross(removed)
+    provided = {e for emitters, _ in after.values() for e in emitters}
+    required = {a for _, acceptors in after.values() for a in acceptors}
+    kinds = {}
+    for chart in charts:
+        for state in chart.states:
+            ref = (chart.component_name, state)
+            if ref in removed:
+                kinds[ref] = {"Removed"}
+            else:
+                codes = {"P"} if ref in provided else set()
+                codes |= {"R"} if ref in required else set()
+                kinds[ref] = codes or {"G"}
+    edges = {
+        (e, a, service)
+        for service, (emitters, acceptors) in after.items()
+        for e in emitters
+        for a in acceptors
+        if e[0] != a[0]
+    }
+    return bool(before), removed, kinds, edges
+
+
+def random_chart_set(rng, count):
+    """``count`` random charts where each may accept what the others emit,
+    plus environment events; now and then a chart also accepts one of its own
+    actions, which makes it fail the disjointness check."""
+    names = [f"C{i}" for i in range(count)]
+    emits = {name: [f"{name.lower()}_s{j}" for j in range(3)] for name in names}
+    charts = []
+    for name in names:
+        events = [s for other in names if other != name for s in emits[other]] + ["env0", "env1"]
+        if rng.random() < 0.05:
+            events.append(emits[name][0])
+        charts.append(random_chart(rng, name, events, emits[name], max_states=8, max_transitions=14))
+    return charts
+
+
 def random_library(rng, prefix, universe, max_cases=8):
     """Raw case dicts for a random authored library (unique prefixed ids)."""
     from cigkit import Origin, TestCase, TestStep

@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 
+import cigkit.cli as cli
 from cigkit import (
     ChartSet,
+    DisjointnessViolation,
     Kind,
     NoInteraction,
     SchemaError,
@@ -17,7 +20,7 @@ from cigkit import (
     format_kinds,
     parse_statechart,
 )
-from oracles import random_interacting_pair
+from oracles import oracle_classify, random_chart_set, random_interacting_pair
 
 VM = "VendingMachine"
 DISP = "Dispenser"
@@ -260,3 +263,45 @@ def test_random_pairs_respect_graph_laws():
                 t.event == edge.service for t in dst_chart.outgoing(edge.target[1])
             )
     assert built >= 30  # the generator must actually exercise the builder
+
+
+def test_analysis_matches_three_pass_oracle():
+    rng = random.Random(2024)
+    built = removals = 0
+    for i in range(600):
+        count = 2 + i % 3
+        charts = ChartSet(
+            tuple(random_interacting_pair(rng)) if count == 2 and i % 2 else tuple(random_chart_set(rng, count))
+        )
+        shared, removed, kinds, edges = oracle_classify(charts)
+        classification = classify_states(charts)
+        assert {ref: {k.value for k in ks} for ref, ks in classification.items()} == kinds
+        assert list(classification) == list(kinds)  # chart then state order
+        assert find_switching_states(charts) == removed
+        try:
+            cig = build_cig(charts)
+        except DisjointnessViolation:
+            continue
+        except NoInteraction as exc:
+            assert not edges
+            assert ("share no services" in str(exc)) == (not shared)
+            continue
+        built += 1
+        removals += bool(removed)
+        assert [n.ref for n in cig.nodes] == [ref for ref in kinds if ref not in removed]
+        assert all({k.value for k in n.kinds} == kinds[n.ref] for n in cig.nodes)
+        assert list(cig.removed) == [ref for ref in kinds if ref in removed]
+        assert {(e.source, e.target, str(e.service)) for e in cig.edges} == edges
+        # the --report table read from the graph equals one read from the classification
+        table = cli._classification_table(charts, cig).splitlines()
+        assert [tuple(line.split()) for line in table[1:]] == [
+            (*ref, format_kinds(ks)) for ref, ks in classification.items()
+        ]
+    assert built >= 300 and removals >= 50  # the sets must reach removal and edges
+
+
+def test_cig_rejects_duplicate_edge(fixture_charts):
+    data = json.loads(cig_to_json(build_cig(fixture_charts)))
+    data["edges"].append(data["edges"][0])
+    with pytest.raises(SchemaError, match="duplicate edge"):
+        cig_from_json(json.dumps(data))

@@ -16,6 +16,7 @@ from cigkit import (
     parse_statechart,
     serialize_statechart,
 )
+import cigkit.cig
 import cigkit.cli as cli
 from cigkit.cli import main, run
 
@@ -130,6 +131,15 @@ def test_cig_report_table_on_stderr(capsys):
     assert "ReadyToDispense" not in out.out  # removed from the graph itself
 
 
+def test_cig_report_analyzes_the_charts_once(capsys, monkeypatch):
+    calls = []
+    analyze = cigkit.cig._analyze
+    monkeypatch.setattr(cigkit.cig, "_analyze", lambda charts: calls.append(charts) or analyze(charts))
+    assert main(["cig", *FIXTURE_ARGS, "--format", "dot", "--report"]) == 0
+    assert len(calls) == 1
+    assert "ReadyToDispense  Removed" in capsys.readouterr().err
+
+
 def test_cig_disjoint_charts_exit_1(capsys, tmp_path):
     a = _write(tmp_path, "a.sc", DISJOINT_A)
     b = _write(tmp_path, "b.sc", DISJOINT_B)
@@ -167,6 +177,17 @@ def test_tests_gen_rejects_mismatched_charts(capsys, tmp_path):
     b = _write(tmp_path, "b.sc", DISJOINT_B)
     assert main(["tests", "gen", "--cig", str(cig_path), a, b]) == 2
     assert "no statechart" in capsys.readouterr().err
+
+
+def test_tests_gen_rejects_duplicate_edge(capsys, tmp_path):
+    assert main(["cig", *FIXTURE_ARGS]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data["edges"].append(data["edges"][0])
+    cig_path = _write(tmp_path, "cig.json", json.dumps(data))
+    assert main(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cig: error: {cig_path}: invalid CIG document: duplicate edge ")
+    assert err.count("\n") == 1
 
 
 def test_tests_gen_unreachable_provider_exit_1(capsys, tmp_path):
@@ -247,6 +268,24 @@ def test_tests_compose_missing_file_exit_2(capsys, tmp_path):
         main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", "/no/file", "--tnew", gen_path])
         == 2
     )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"steps": []}, "at least one step"),
+        ({"left": "Nobody", "satisfied": ["zzz"]}, "must match its last step"),
+        ({"satisfied": ["dispense"]}, "must match its last step"),
+    ],
+)
+def test_tests_compose_rejects_inconsistent_composition(capsys, tmp_path, edit, message):
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "comp.json").read_text(encoding="utf-8"))
+    bad = _write(tmp_path, "bad.json", json.dumps({**data, **edit}))
+    assert main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", bad, "--tnew", gen_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cig: error: {bad}: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exits_2():

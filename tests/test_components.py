@@ -4,6 +4,7 @@ import pytest
 
 from cigkit import (
     Component,
+    CompositionResult,
     DisjointnessViolation,
     InvalidIdentifier,
     NotComposable,
@@ -136,6 +137,15 @@ def test_compose_many_chain():
     assert result.composed.required == set()
     assert [(s.left, s.right) for s in result.steps] == [("A", "B"), ("A_x_B", "C")]
     assert result.all_satisfied() == {"a", "b"}
+
+
+def test_composition_result_describes_its_last_step():
+    a = make_component("A", {"a"}, set())
+    b = make_component("B", {"b"}, {"a"})
+    result = compose_many([a, b, make_component("C", set(), {"b"})])
+    assert (result.left_name, result.right_name, result.satisfied) == ("A_x_B", "C", {"b"})
+    with pytest.raises(ValueError, match="at least one step"):
+        CompositionResult(composed=result.composed, steps=())
 
 
 def test_compose_many_two_equals_compose():
