@@ -4,29 +4,24 @@ Machine-readable results go to standard output (or ``--out``); diagnostics,
 warnings and the ``--report`` table go to standard error. Exit codes: 0 on
 success, 1 on domain errors (no satisfied services, no interaction, duplicate
 test ids, unreachable providing states), 2 on unreadable or malformed input.
+An error found inside one input file is malformed input: its message names
+the file and it exits 2, even when the same error between two files exits 1
+(a library that lists one test id twice, say). ``run`` is the one place that
+turns an error into a message and an exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cig import Cig, Kind, build_cig, cig_from_json, cig_to_dot, cig_to_json, format_kinds
 from .components import compose_many, composition_result_from_json, composition_result_to_json
-from .errors import (
-    CigError,
-    DisjointnessViolation,
-    DuplicateComponent,
-    DuplicateTestId,
-    NoInteraction,
-    NotComposable,
-    SchemaError,
-    StatechartError,
-    UnreachableProvider,
-)
-from .statechart import ChartSet, Statechart, extract_interfaces, parse_statechart, serialize_statechart
+from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
+from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
 from .testlib import (
     compose_libraries,
     composed_result_to_json,
@@ -34,6 +29,9 @@ from .testlib import (
     library_from_json,
     library_to_json,
 )
+
+# Domain errors exit 1; every other CigError is unreadable or malformed input.
+_DOMAIN_ERRORS = (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)
 
 
 @dataclass
@@ -46,17 +44,9 @@ class RunReport:
     exit_code: int = 0
 
 
-class _Fail(Exception):
-    """Internal control flow: diagnostics already printed, carry the exit code."""
-
-    def __init__(self, code: int):
-        self.code = code
-        super().__init__(code)
-
-
-def _die(code: int, message: str):
-    print(f"cig: error: {message}", file=sys.stderr)
-    raise _Fail(code)
+def _fail(report: RunReport, exc: CigError):
+    print(f"cig: error: {exc}", file=sys.stderr)
+    report.exit_code = 1 if isinstance(exc, _DOMAIN_ERRORS) else 2
 
 
 def _warn(report: RunReport, message: str):
@@ -64,27 +54,26 @@ def _warn(report: RunReport, message: str):
     print(f"cig: warning: {message}", file=sys.stderr)
 
 
-def _read(path: str) -> str:
+@contextlib.contextmanager
+def _about(path: str):
+    """Report an error raised inside the block as malformed input in ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        yield
+    except (CigError, UnicodeDecodeError) as exc:
+        raise CigError(f"{path}: {exc}") from None
+
+
+def _load(path: str, parse):
+    """Read ``path`` as UTF-8 text and parse it."""
+    try:
+        with _about(path):
+            return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        _die(2, str(exc))
-
-
-def _parse_chart_file(path: str) -> Statechart:
-    text = _read(path)
-    try:
-        return parse_statechart(text)
-    except StatechartError as exc:
-        _die(2, f"{path}: {exc}")
+        raise CigError(str(exc)) from None
 
 
 def _chart_set(paths: list[str]) -> ChartSet:
-    charts = [_parse_chart_file(path) for path in paths]
-    try:
-        return ChartSet(tuple(charts))
-    except DuplicateComponent as exc:
-        _die(2, str(exc))
+    return ChartSet(tuple(_load(path, parse_statechart) for path in paths))
 
 
 def _emit(text: str, out: str | None):
@@ -94,49 +83,35 @@ def _emit(text: str, out: str | None):
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            _die(2, str(exc))
+            raise CigError(str(exc)) from None
 
 
 def cmd_parse(args, report: RunReport):
     report.inputs = list(args.files)
     for path in args.files:
         try:
-            chart = _parse_chart_file(path)
-        except _Fail:
-            report.exit_code = 2
-            continue
-        sys.stdout.write(serialize_statechart(chart))
+            sys.stdout.write(serialize_statechart(_load(path, parse_statechart)))
+        except CigError as exc:
+            _fail(report, exc)
 
 
 def cmd_compose(args, report: RunReport):
     report.inputs = list(args.files)
     if len(args.files) < 2:
-        _die(2, "compose needs at least two statechart files")
-    charts = _chart_set(args.files)
+        raise CigError("compose needs at least two statechart files")
     components = []
-    for path, chart in zip(args.files, charts):
-        try:
+    for path, chart in zip(args.files, _chart_set(args.files)):
+        with _about(path):
             components.append(extract_interfaces(chart))
-        except DisjointnessViolation as exc:
-            _die(2, f"{path}: {exc}")
-    try:
-        result = compose_many(components)
-    except NotComposable as exc:
-        _die(1, str(exc))
-    _emit(composition_result_to_json(result), args.out)
+    _emit(composition_result_to_json(compose_many(components)), args.out)
 
 
 def cmd_cig(args, report: RunReport):
     report.inputs = list(args.files)
     if len(args.files) < 2:
-        _die(2, "cig needs at least two statechart files")
+        raise CigError("cig needs at least two statechart files")
     charts = _chart_set(args.files)
-    try:
-        cig = build_cig(charts)
-    except NoInteraction as exc:
-        _die(1, str(exc))
-    except DisjointnessViolation as exc:
-        _die(2, str(exc))
+    cig = build_cig(charts)
     if args.report:
         sys.stderr.write(_classification_table(charts, cig))
     text = cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)
@@ -161,40 +136,19 @@ def _classification_table(charts: ChartSet, cig: Cig) -> str:
 
 def cmd_tests_gen(args, report: RunReport):
     report.inputs = [args.cig_path, *args.files]
-    try:
-        cig = cig_from_json(_read(args.cig_path))
-    except SchemaError as exc:
-        _die(2, f"{args.cig_path}: {exc}")
+    cig = _load(args.cig_path, cig_from_json)
     charts = _chart_set(args.files)
-    try:
-        library = generate_new_tests(cig, charts, warn=lambda m: _warn(report, m))
-    except UnreachableProvider as exc:
-        _die(1, str(exc))
-    except SchemaError as exc:
-        _die(2, str(exc))
+    library = generate_new_tests(cig, charts, warn=lambda m: _warn(report, m))
     _emit(library_to_json(library), args.out)
 
 
 def cmd_tests_compose(args, report: RunReport):
     report.inputs = [args.t1, args.t2, args.composition, args.tnew]
-
-    def load_library(path: str):
-        try:
-            return library_from_json(_read(path))
-        except (SchemaError, DuplicateTestId) as exc:
-            _die(2, f"{path}: {exc}")
-
-    t1 = load_library(args.t1)
-    t2 = load_library(args.t2)
-    tnew = load_library(args.tnew)
-    try:
-        composition = composition_result_from_json(_read(args.composition))
-    except SchemaError as exc:
-        _die(2, f"{args.composition}: {exc}")
-    try:
-        result = compose_libraries(t1, t2, composition.all_satisfied(), tnew)
-    except DuplicateTestId as exc:
-        _die(1, str(exc))
+    t1 = _load(args.t1, library_from_json)
+    t2 = _load(args.t2, library_from_json)
+    tnew = _load(args.tnew, library_from_json)
+    composition = _load(args.composition, composition_result_from_json)
+    result = compose_libraries(t1, t2, composition.all_satisfied(), tnew)
     _emit(composed_result_to_json(result), args.out)
 
 
@@ -253,12 +207,8 @@ def run(argv=None) -> RunReport:
     report = RunReport(command=command)
     try:
         args.handler(args, report)
-    except _Fail as fail:
-        report.exit_code = fail.code
     except CigError as exc:
-        # safety net: anything a handler did not contextualize
-        print(f"cig: error: {exc}", file=sys.stderr)
-        report.exit_code = 1 if isinstance(exc, (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)) else 2
+        _fail(report, exc)
     return report
 
 

@@ -288,8 +288,13 @@ def composition_result_from_json(text: str) -> CompositionResult:
 
 
 def _loads(text: str) -> object:
-    """Parse JSON text, reporting malformed input as a SchemaError."""
+    """Parse JSON text, reporting malformed input as a SchemaError.
+
+    Besides syntax errors (``JSONDecodeError``), ``json.loads`` raises
+    ``RecursionError`` on deeply nested arrays or objects and ``ValueError``
+    on an integer literal longer than the interpreter's digit limit.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None

@@ -216,6 +216,8 @@ class _Scanner:
         if end < 0:
             raise ParseError("unterminated guard, missing ']'", self.lineno, column)
         text = self.line[self.pos + 1 : end]
+        if "[" in text:
+            raise ParseError("guard text may not contain '['", self.lineno, column)
         self.pos = end + 1
         return text
 

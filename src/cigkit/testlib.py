@@ -229,17 +229,18 @@ def generate_new_tests(
     that state's emitting transition and expects the edge's service among the
     emitted actions. The expected landing state on the accepting side is
     recorded only when it is unambiguous; ``warn`` hears about omissions.
+    An edge whose accepting state takes no transition on its service (a CIG
+    built from other charts) is a SchemaError.
     """
-    by_name = {chart.component_name: chart for chart in charts}
     for component in cig.components:
-        if component not in by_name:
+        if component not in charts.names:
             raise SchemaError(f"CIG references component {component!r} with no statechart")
     paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
     setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
     cases = []
     for edge in cig.edges:
-        emitter_chart = by_name[edge.source[0]]
-        acceptor_chart = by_name[edge.target[0]]
+        emitter_chart = charts.get(edge.source[0])
+        acceptor_chart = charts.get(edge.target[0])
         for chart, (_, state) in ((emitter_chart, edge.source), (acceptor_chart, edge.target)):
             if state not in chart.states:
                 raise SchemaError(
@@ -303,6 +304,11 @@ def _final_step(
     accepting = [
         t for t in acceptor_chart.outgoing(edge.target[1]) if t.event == edge.service
     ]
+    if not accepting:
+        raise SchemaError(
+            f"state {edge.target[1]!r} of {acceptor_chart.component_name!r} has no "
+            f"transition accepting {edge.service!r}"
+        )
     if len(accepting) == 1:
         expected_state = (acceptor_chart.component_name, accepting[0].target)
     else:

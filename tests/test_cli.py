@@ -370,3 +370,70 @@ def test_tests_gen_reports_the_first_failing_edge(capsys, tmp_path, order, messa
     capsys.readouterr()
     assert main(["tests", "gen", "--cig", str(cig_path), a, b]) == 1
     assert capsys.readouterr().err == f"cig: error: {message}\n"
+
+
+def test_undecodable_file_exits_2_naming_it(capsys, tmp_path):
+    chart = tmp_path / "chart.sc"
+    chart.write_bytes(b"component A\nstate \xff\n")
+    assert main(["parse", str(chart)]) == 2
+    assert capsys.readouterr().err == (
+        f"cig: error: {chart}: 'utf-8' codec can't decode byte 0xff in position 18: "
+        "invalid start byte\n"
+    )
+    cig_path = tmp_path / "cig.json"
+    cig_path.write_bytes(b'{"components": ["\xc3"]}')
+    assert main(["tests", "gen", "--cig", str(cig_path), *FIXTURE_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cig: error: {cig_path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = _write(tmp_path, "deep.json", "[" * 200000)
+    assert main(["tests", "gen", "--cig", deep, *FIXTURE_ARGS]) == 2
+    assert capsys.readouterr().err.startswith(f"cig: error: {deep}: invalid JSON: maximum recursion depth")
+    t1, t2, comp_path, _ = _tests_compose_files(tmp_path, capsys)
+    assert main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", comp_path, "--tnew", deep]) == 2
+    assert capsys.readouterr().err.startswith(f"cig: error: {deep}: invalid JSON: maximum recursion depth")
+
+
+def test_oversized_integer_in_a_library_exits_2(capsys, tmp_path):
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    big = _write(tmp_path, "big.json", '{"cases": [' + "7" * 5000 + "]}")
+    assert main(["tests", "compose", "--t1", big, "--t2", t2, "--composition", comp_path, "--tnew", gen_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cig: error: {big}: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+
+
+def test_tests_compose_rejects_a_composite_that_breaks_disjointness(capsys, tmp_path):
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "comp.json").read_text(encoding="utf-8"))
+    data["composed"]["required"].append("vend")
+    bad = _write(tmp_path, "bad.json", json.dumps(data))
+    assert main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", bad, "--tnew", gen_path]) == 2
+    assert capsys.readouterr().err == (
+        f"cig: error: {bad}: component 'VendingMachine_x_Dispenser' both provides and requires: vend\n"
+    )
+
+
+def test_a_test_id_listed_twice_in_one_library_exits_2(capsys, tmp_path):
+    # the same clash between two libraries is a domain error (exit 1)
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "t1.json").read_text(encoding="utf-8"))
+    data["cases"].append(data["cases"][0])
+    twice = _write(tmp_path, "twice.json", json.dumps(data))
+    assert main(["tests", "compose", "--t1", twice, "--t2", t2, "--composition", comp_path, "--tnew", gen_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cig: error: {twice}: ") and "vm_credit" in err
+
+
+def test_tests_gen_rejects_a_stale_edge(capsys, tmp_path):
+    # the CIG was built before the dispenser renamed its setCredit trigger
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    text = DISPENSER.read_text(encoding="utf-8").replace("on setCredit", "on putCredit")
+    stale = _write(tmp_path, "dispenser.sc", text)
+    report = run(["tests", "gen", "--cig", cig_path, str(VENDING), stale])
+    assert report.exit_code == 2 and report.warnings == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cig: error: state 'Empty' of 'Dispenser' has no transition accepting 'setCredit'\n"

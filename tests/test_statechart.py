@@ -111,6 +111,14 @@ def test_parse_rejects_malformed_transitions():
             parse_statechart(base % line)
 
 
+
+def test_guard_text_containing_a_bracket_is_a_parse_error():
+    text = "component A\nstate X\ninitial X\ntransition X -> X on go guard [a[b]\nend\n"
+    with pytest.raises(ParseError) as err:
+        parse_statechart(text)
+    assert (err.value.line, err.value.column) == (4, 31)  # the guard's '['
+    assert "may not contain '['" in str(err.value)
+
 def test_comments_and_blank_lines_ignored():
     text = (
         "# header comment\n"

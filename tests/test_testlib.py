@@ -22,6 +22,7 @@ from cigkit import (
     parse_statechart,
     satisfied_tests,
 )
+from conftest import FIXTURES
 from oracles import oracle_event_path, random_chart
 
 VM = "VendingMachine"
@@ -304,6 +305,14 @@ def test_generate_rejects_untriggerable_emission():
     with pytest.raises(UnreachableProvider, match="no triggered transition"):
         generate_new_tests(build_cig(charts), charts)
 
+
+
+def test_generate_rejects_an_edge_nothing_accepts(fixture_charts, vending_chart):
+    # a CIG built before the dispenser renamed its setCredit trigger
+    text = (FIXTURES / "dispenser.sc").read_text(encoding="utf-8")
+    stale = parse_statechart(text.replace("on setCredit", "on putCredit"))
+    with pytest.raises(SchemaError, match="'Empty' of 'Dispenser' has no transition accepting 'setCredit'"):
+        generate_new_tests(build_cig(fixture_charts), ChartSet((vending_chart, stale)))
 
 def test_event_paths_match_per_goal_search():
     # one exhaustive search per chart must give every state the path the
