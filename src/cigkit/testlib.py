@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .cig import Cig, CigEdge, StateRef
+from .cig import Cig, CigEdge, StateRef, build_cig
 from .components import ServiceName, _loads, check_identifier
-from .errors import DuplicateTestId, SchemaError, UnreachableProvider
+from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 from .statechart import ChartSet, Statechart, Transition
 
 
@@ -40,6 +40,8 @@ class TestStep:
         object.__setattr__(self, "event", ServiceName(self.event))
         if self.expected_state is not None:
             component, state = self.expected_state
+            check_identifier(component, "component name")
+            check_identifier(state, "state name")
             object.__setattr__(self, "expected_state", (component, state))
         object.__setattr__(
             self, "expected_actions", tuple(ServiceName(a) for a in self.expected_actions)
@@ -229,8 +231,9 @@ def generate_new_tests(
     that state's emitting transition and expects the edge's service among the
     emitted actions. The expected landing state on the accepting side is
     recorded only when it is unambiguous; ``warn`` hears about omissions.
-    An edge whose accepting state takes no transition on its service (a CIG
-    built from other charts) is a SchemaError.
+    An edge the charts no longer support (a CIG built from other charts) is a
+    SchemaError: no transition accepts its service, or it fails as
+    UnreachableProvider and the charts build another CIG or none.
     """
     for component in cig.components:
         if component not in charts.names:
@@ -238,46 +241,46 @@ def generate_new_tests(
     paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
     setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
     cases = []
-    for edge in cig.edges:
-        emitter_chart = charts.get(edge.source[0])
-        acceptor_chart = charts.get(edge.target[0])
-        for chart, (_, state) in ((emitter_chart, edge.source), (acceptor_chart, edge.target)):
-            if state not in chart.states:
-                raise SchemaError(
-                    f"CIG references state {state!r} missing from {chart.component_name!r}"
+    try:
+        for edge in cig.edges:
+            emitter_chart = charts.get(edge.source[0])
+            acceptor_chart = charts.get(edge.target[0])
+            for chart, (_, state) in ((emitter_chart, edge.source), (acceptor_chart, edge.target)):
+                if state not in chart.states:
+                    raise SchemaError(
+                        f"CIG references state {state!r} missing from {chart.component_name!r}"
+                    )
+            case_id = "_".join(("tnew", *edge.source, str(edge.service), *edge.target))
+            final = _final_step(case_id, edge, emitter_chart, acceptor_chart, warn)
+            setup = setup_by_source.get(edge.source)
+            if setup is None:
+                component, state = edge.source
+                if component not in paths_by_component:
+                    paths_by_component[component] = _event_paths(emitter_chart)
+                path = paths_by_component[component].get(state)
+                if path is None:
+                    raise UnreachableProvider(
+                        f"no event path reaches state {state!r} from {emitter_chart.initial!r} "
+                        f"in component {component!r}"
+                    )
+                setup = setup_by_source[edge.source] = tuple(_setup_steps(component, path))
+            cases.append(
+                TestCase(
+                    id=case_id,
+                    owner=edge.source[0],
+                    services=frozenset({edge.service}),
+                    steps=setup + (final,),
+                    origin=Origin.GENERATED,
                 )
-        case_id = "_".join(
-            (
-                "tnew",
-                edge.source[0],
-                edge.source[1],
-                str(edge.service),
-                edge.target[0],
-                edge.target[1],
             )
-        )
-        final = _final_step(case_id, edge, emitter_chart, acceptor_chart, warn)
-        setup = setup_by_source.get(edge.source)
-        if setup is None:
-            component, state = edge.source
-            if component not in paths_by_component:
-                paths_by_component[component] = _event_paths(emitter_chart)
-            path = paths_by_component[component].get(state)
-            if path is None:
-                raise UnreachableProvider(
-                    f"no event path reaches state {state!r} from {emitter_chart.initial!r} "
-                    f"in component {component!r}"
-                )
-            setup = setup_by_source[edge.source] = tuple(_setup_steps(component, path))
-        cases.append(
-            TestCase(
-                id=case_id,
-                owner=edge.source[0],
-                services=frozenset({edge.service}),
-                steps=setup + (final,),
-                origin=Origin.GENERATED,
-            )
-        )
+    except UnreachableProvider as exc:
+        try:
+            rebuilt = build_cig(charts)
+        except CigError as error:
+            raise SchemaError(f"CIG does not match its statecharts: {error}") from None
+        if rebuilt != cig:
+            raise SchemaError(f"CIG does not match its statecharts: {exc}") from None
+        raise
     cases.sort(key=lambda c: c.id)
     return TestLibrary(tuple(cases))
 
@@ -325,29 +328,52 @@ def _final_step(
     )
 
 
-def _step_to_dict(step: TestStep) -> dict:
-    data: dict = {"event": str(step.event)}
-    if step.expected_state is not None:
-        data["expected_state"] = {
-            "component": step.expected_state[0],
-            "state": step.expected_state[1],
-        }
-    data["expected_actions"] = [str(a) for a in step.expected_actions]
-    return data
+# The writers below give the bytes json.dumps(indent=2) gives for the same
+# documents; every string goes through the escaper json.dumps itself uses.
+_quote = json.encoder.encode_basestring_ascii
 
 
-def _case_to_dict(case: TestCase) -> dict:
-    return {
-        "id": case.id,
-        "owner": case.owner,
-        "origin": case.origin.value,
-        "services": sorted(str(s) for s in case.services),
-        "steps": [_step_to_dict(s) for s in case.steps],
-    }
+def _array(texts: list[str], pad: str) -> str:
+    """JSON texts as an array opened on a line indented by ``pad``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
 
 
-def library_to_dict(library: TestLibrary) -> dict:
-    return {"cases": [_case_to_dict(c) for c in library.cases]}
+def _case_text(case: TestCase, pad: str) -> str:
+    """The case object opened on a line indented by ``pad``."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    steps = []
+    for step in case.steps:
+        state = ""
+        if step.expected_state is not None:
+            component, name = map(_quote, step.expected_state)
+            state = (
+                f'"expected_state": {{\n{p3}  "component": {component},\n'
+                f'{p3}  "state": {name}\n{p3}}},\n{p3}'
+            )
+        steps.append(
+            f'{{\n{p3}"event": {_quote(step.event)},\n{p3}{state}"expected_actions": '
+            f"{_array([_quote(a) for a in step.expected_actions], p3)}\n{p2}}}"
+        )
+    return (
+        f'{{\n{p1}"id": {_quote(case.id)},\n{p1}"owner": {_quote(case.owner)},\n'
+        f'{p1}"origin": {_quote(case.origin.value)},\n'
+        f'{p1}"services": {_array([_quote(s) for s in sorted(case.services)], p1)},\n'
+        f'{p1}"steps": {_array(steps, p1)}\n{pad}}}'
+    )
+
+
+def _library_text(library: TestLibrary, pad: str, memo: dict[int, str]) -> str:
+    """The library object opened on a line indented by ``pad``. ``memo`` maps
+    ``id(case)`` to text written at this ``pad``, so a case object held twice
+    is written once (not keyed by case id: a loaded document may reuse one)."""
+    for case in library.cases:
+        if id(case) not in memo:
+            memo[id(case)] = _case_text(case, pad + "    ")
+    texts = [memo[id(case)] for case in library.cases]
+    return f'{{\n{pad}  "cases": {_array(texts, pad + "  ")}\n{pad}}}'
 
 
 def _step_from_dict(data: object) -> TestStep:
@@ -406,20 +432,11 @@ def library_from_dict(data: object) -> TestLibrary:
 
 
 def library_to_json(library: TestLibrary) -> str:
-    return json.dumps(library_to_dict(library), indent=2) + "\n"
+    return _library_text(library, "", {}) + "\n"
 
 
 def library_from_json(text: str) -> TestLibrary:
     return library_from_dict(_loads(text))
-
-
-def composed_result_to_dict(result: ComposedLibraryResult) -> dict:
-    return {
-        "retained": library_to_dict(result.retained),
-        "removed": library_to_dict(result.removed),
-        "generated": library_to_dict(result.generated),
-        "final": library_to_dict(result.final),
-    }
 
 
 def composed_result_from_dict(data: object) -> ComposedLibraryResult:
@@ -437,7 +454,10 @@ def composed_result_from_dict(data: object) -> ComposedLibraryResult:
 
 
 def composed_result_to_json(result: ComposedLibraryResult) -> str:
-    return json.dumps(composed_result_to_dict(result), indent=2) + "\n"
+    memo: dict[int, str] = {}
+    keys = ("retained", "removed", "generated", "final")
+    parts = [f'"{key}": {_library_text(getattr(result, key), "  ", memo)}' for key in keys]
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def composed_result_from_json(text: str) -> ComposedLibraryResult:

@@ -7,6 +7,7 @@ execution of a statechart instead of trusting the generator's path choice.
 """
 
 import heapq
+import json
 import random
 
 from cigkit import ActionEmission, Statechart, Transition, UnreachableProvider
@@ -258,3 +259,43 @@ def random_library(rng, prefix, universe, max_cases=8):
             )
         )
     return cases
+
+
+def _oracle_step_dict(step):
+    data = {"event": str(step.event)}
+    if step.expected_state is not None:
+        data["expected_state"] = {
+            "component": step.expected_state[0],
+            "state": step.expected_state[1],
+        }
+    data["expected_actions"] = [str(a) for a in step.expected_actions]
+    return data
+
+
+def _oracle_library_dict(library):
+    return {
+        "cases": [
+            {
+                "id": case.id,
+                "owner": case.owner,
+                "origin": case.origin.value,
+                "services": sorted(str(s) for s in case.services),
+                "steps": [_oracle_step_dict(s) for s in case.steps],
+            }
+            for case in library.cases
+        ]
+    }
+
+
+def oracle_library_json(library):
+    """A test library as a dict tree written by ``json.dumps(indent=2)``."""
+    return json.dumps(_oracle_library_dict(library), indent=2) + "\n"
+
+
+def oracle_composed_json(result):
+    """A composed library result written the same way, each part in full."""
+    parts = {
+        key: _oracle_library_dict(getattr(result, key))
+        for key in ("retained", "removed", "generated", "final")
+    }
+    return json.dumps(parts, indent=2) + "\n"

@@ -437,3 +437,31 @@ def test_tests_gen_rejects_a_stale_edge(capsys, tmp_path):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "cig: error: state 'Empty' of 'Dispenser' has no transition accepting 'setCredit'\n"
+
+
+def test_tests_gen_rejects_an_edge_nothing_emits_any_more(capsys, tmp_path):
+    # the CIG was built before the dispenser stopped answering dispense with ok
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    text = DISPENSER.read_text(encoding="utf-8").replace("on dispense do ok", "on dispense")
+    stale = _write(tmp_path, "dispenser.sc", text)
+    capsys.readouterr()
+    assert main(["tests", "gen", "--cig", cig_path, str(VENDING), stale]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(
+        "cig: error: CIG does not match its statecharts: state 'Enabled' of 'Dispenser' "
+        "has no triggered transition emitting 'ok'\n"
+    )
+
+
+@pytest.mark.parametrize("ref", [{"component": 5, "state": "Idle"}, {"component": "A", "state": None}])
+def test_tests_compose_rejects_an_expected_state_that_is_no_name(capsys, tmp_path, ref):
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "t1.json").read_text(encoding="utf-8"))
+    data["cases"][0]["steps"][0]["expected_state"] = ref
+    bad = _write(tmp_path, "bad.json", json.dumps(data))
+    assert main(["tests", "compose", "--t1", bad, "--t2", t2, "--composition", comp_path, "--tnew", gen_path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"cig: error: {bad}: invalid test step: invalid ") and out.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import cigkit.testlib as testlib
 from cigkit import (
     ChartSet,
     DuplicateTestId,
+    InvalidIdentifier,
     Origin,
     SchemaError,
     TestCase,
@@ -314,6 +316,39 @@ def test_generate_rejects_an_edge_nothing_accepts(fixture_charts, vending_chart)
     with pytest.raises(SchemaError, match="'Empty' of 'Dispenser' has no transition accepting 'setCredit'"):
         generate_new_tests(build_cig(fixture_charts), ChartSet((vending_chart, stale)))
 
+
+def test_generate_rejects_an_edge_nothing_emits_any_more(fixture_charts, vending_chart):
+    # a CIG built before the dispenser stopped answering dispense with ok
+    text = (FIXTURES / "dispenser.sc").read_text(encoding="utf-8")
+    stale = parse_statechart(text.replace("on dispense do ok", "on dispense"))
+    with pytest.raises(
+        SchemaError,
+        match="^CIG does not match its statecharts: state 'Enabled' of 'Dispenser' has no "
+        "triggered transition emitting 'ok'$",
+    ):
+        generate_new_tests(build_cig(fixture_charts), ChartSet((vending_chart, stale)))
+
+
+def test_generate_rejects_a_cig_the_charts_no_longer_build():
+    def charts(emission):
+        return ChartSet(
+            (
+                parse_statechart(
+                    f"component A\nstate W\nstate X\ninitial W\ntransition X -> X on fire{emission}\nend\n"
+                ),
+                parse_statechart("component B\nstate Y\ninitial Y\ntransition Y -> Y on alarm\nend\n"),
+            )
+        )
+
+    cig = build_cig(charts(" do alarm"))
+    with pytest.raises(UnreachableProvider, match="no event path"):
+        generate_new_tests(cig, charts(" do alarm"))
+    with pytest.raises(
+        SchemaError, match="^CIG does not match its statecharts: the charts share no services"
+    ):
+        generate_new_tests(cig, charts(""))
+
+
 def test_event_paths_match_per_goal_search():
     # one exhaustive search per chart must give every state the path the
     # per-goal search finds, and leave out exactly the states it cannot reach
@@ -384,6 +419,24 @@ def test_library_json_schema_errors():
             '{"cases": [{"id": "a", "owner": "A", "services": [], '
             '"steps": [{"event": "e", "expected_state": "X"}]}]}'
         )
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ({"component": 5, "state": "S"}, "invalid component name: 5"),
+        ({"component": "not an id", "state": "S"}, "invalid component name: 'not an id'"),
+        ({"component": "C", "state": None}, "invalid state name: None"),
+        ({"component": "C", "state": "1st"}, "invalid state name: '1st'"),
+    ],
+)
+def test_expected_state_names_identifiers(ref, message):
+    with pytest.raises(InvalidIdentifier, match=message):
+        TestStep(event="e", expected_state=(ref["component"], ref["state"]))
+    step = {"event": "e", "expected_state": ref, "expected_actions": []}
+    document = {"cases": [{"id": "a", "owner": "A", "services": [], "steps": [step]}]}
+    with pytest.raises(SchemaError, match=f"^invalid test step: {message}$"):
+        library_from_json(json.dumps(document))
 
 
 def test_composed_result_json_round_trip(fixture_charts):
