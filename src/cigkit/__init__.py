@@ -17,9 +17,7 @@ from .cig import (
     Kind,
     ServiceSides,
     build_cig,
-    cig_from_json,
     cig_to_dot,
-    cig_to_json,
     classify_states,
     cross_services,
     find_switching_states,
@@ -30,15 +28,23 @@ from .components import (
     CompositionResult,
     CompositionStep,
     ServiceName,
-    component_from_json,
-    component_to_json,
     compose,
     compose_many,
-    composition_result_from_json,
-    composition_result_to_json,
     is_composable,
     make_component,
     satisfied_services,
+)
+from .documents import (
+    cig_from_json,
+    cig_to_json,
+    component_from_json,
+    component_to_json,
+    composed_result_from_json,
+    composed_result_to_json,
+    composition_result_from_json,
+    composition_result_to_json,
+    library_from_json,
+    library_to_json,
 )
 from .errors import (
     CigError,
@@ -72,11 +78,7 @@ from .testlib import (
     TestLibrary,
     TestStep,
     compose_libraries,
-    composed_result_from_json,
-    composed_result_to_json,
     generate_new_tests,
-    library_from_json,
-    library_to_json,
     satisfied_tests,
 )
 

@@ -9,14 +9,13 @@ with service-labeled edges.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .components import ServiceName, _loads, check_identifier
-from .errors import NoInteraction, SchemaError
+from .components import ServiceName, check_identifier
+from .errors import NoInteraction
 from .statechart import ChartSet, Transition, extract_interfaces
 
 StateRef = tuple[str, str]  # (component name, state name)
@@ -163,18 +162,15 @@ def _cross(emitters, acceptors, excluded: frozenset[StateRef]) -> dict[ServiceNa
     return out
 
 
-def cross_services(
-    charts: ChartSet, excluded: frozenset[StateRef] = frozenset()
-) -> dict[ServiceName, ServiceSides]:
+def cross_services(charts: ChartSet) -> dict[ServiceName, ServiceSides]:
     """Map each service to the states that emit it and the states that accept it.
 
     Only services with at least one emitter and one acceptor in different
-    components are kept; one-sided names are environment services. States in
-    ``excluded`` are ignored entirely. Keys are sorted; sides follow chart and
-    state declaration order.
+    components are kept; one-sided names are environment services. Keys are
+    sorted; sides follow chart and state declaration order.
     """
     emitters, acceptors, _ = _scan(charts)
-    return _cross(emitters, acceptors, excluded)
+    return _cross(emitters, acceptors, frozenset())
 
 
 class _Analysis(NamedTuple):
@@ -291,91 +287,3 @@ def cig_to_dot(cig: Cig) -> str:
         lines.append(f'  "{src}" -> "{dst}" [label="{edge.service}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _ref_dict(ref: StateRef) -> dict:
-    return {"component": ref[0], "state": ref[1]}
-
-
-def cig_to_dict(cig: Cig) -> dict:
-    return {
-        "components": list(cig.components),
-        "removed": [_ref_dict(ref) for ref in cig.removed],
-        "nodes": [
-            {
-                "component": node.component,
-                "state": node.state,
-                "kinds": [k.value for k in _KIND_ORDER if k in node.kinds],
-            }
-            for node in cig.nodes
-        ],
-        "edges": [
-            {
-                "from": _ref_dict(edge.source),
-                "to": _ref_dict(edge.target),
-                "service": str(edge.service),
-            }
-            for edge in cig.edges
-        ],
-    }
-
-
-def _ref_from_dict(data: object, what: str) -> StateRef:
-    if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
-        raise SchemaError(f"{what} must be an object with 'component' and 'state'")
-    return (data["component"], data["state"])
-
-
-_CODE_TO_KIND = {k.value: k for k in _KIND_ORDER}
-
-
-def cig_from_dict(data: object) -> Cig:
-    if not isinstance(data, dict):
-        raise SchemaError("CIG document must be a JSON object")
-    for key in ("components", "removed", "nodes", "edges"):
-        if key not in data:
-            raise SchemaError(f"CIG document is missing key {key!r}")
-        if not isinstance(data[key], list):
-            raise SchemaError(f"CIG {key!r} must be an array")
-    try:
-        nodes = []
-        for raw in data["nodes"]:
-            if not isinstance(raw, dict) or not {"component", "state", "kinds"} <= raw.keys():
-                raise SchemaError("CIG node must have 'component', 'state' and 'kinds'")
-            kinds = raw["kinds"]
-            if not isinstance(kinds, list) or not all(k in _CODE_TO_KIND for k in kinds):
-                raise SchemaError(f"invalid kind codes in node {raw.get('state')!r}")
-            nodes.append(
-                CigNode(
-                    component=raw["component"],
-                    state=raw["state"],
-                    kinds=frozenset(_CODE_TO_KIND[k] for k in kinds),
-                )
-            )
-        edges = []
-        for raw in data["edges"]:
-            if not isinstance(raw, dict) or not {"from", "to", "service"} <= raw.keys():
-                raise SchemaError("CIG edge must have 'from', 'to' and 'service'")
-            edges.append(
-                CigEdge(
-                    source=_ref_from_dict(raw["from"], "edge 'from'"),
-                    target=_ref_from_dict(raw["to"], "edge 'to'"),
-                    service=raw["service"],
-                )
-            )
-        return Cig(
-            components=tuple(data["components"]),
-            removed=tuple(_ref_from_dict(r, "removed entry") for r in data["removed"]),
-            nodes=tuple(nodes),
-            edges=tuple(edges),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid CIG document: {exc}") from None
-
-
-def cig_to_json(cig: Cig) -> str:
-    return json.dumps(cig_to_dict(cig), indent=2) + "\n"
-
-
-def cig_from_json(text: str) -> Cig:
-    return cig_from_dict(_loads(text))

@@ -18,17 +18,20 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cig import Cig, Kind, build_cig, cig_from_json, cig_to_dot, cig_to_json, format_kinds
-from .components import compose_many, composition_result_from_json, composition_result_to_json
-from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
-from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
-from .testlib import (
-    compose_libraries,
+from .cig import Cig, Kind, build_cig, cig_to_dot, format_kinds
+from .components import compose_many
+from .documents import (
+    cig_from_json,
+    cig_to_json,
     composed_result_to_json,
-    generate_new_tests,
+    composition_result_from_json,
+    composition_result_to_json,
     library_from_json,
     library_to_json,
 )
+from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
+from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
+from .testlib import compose_libraries, generate_new_tests
 
 # Domain errors exit 1; every other CigError is unreadable or malformed input.
 _DOMAIN_ERRORS = (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)

@@ -9,12 +9,11 @@ satisfied set and are removed from the composite's interface.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DisjointnessViolation, InvalidIdentifier, NotComposable, SchemaError
+from .errors import DisjointnessViolation, InvalidIdentifier, NotComposable
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -185,116 +184,3 @@ def compose_many(components: Sequence[Component]) -> CompositionResult:
         steps.extend(result.steps)
         accumulated = result.composed
     return CompositionResult(composed=accumulated, steps=tuple(steps))
-
-
-def component_to_dict(component: Component) -> dict:
-    data: dict = {
-        "name": component.name,
-        "provided": sorted(str(s) for s in component.provided),
-        "required": sorted(str(s) for s in component.required),
-    }
-    if component.internal_map:
-        data["internal_map"] = {str(k): str(v) for k, v in component.internal_map}
-    return data
-
-
-def component_from_dict(data: object) -> Component:
-    if not isinstance(data, dict):
-        raise SchemaError("component must be a JSON object")
-    try:
-        name = data["name"]
-        provided = data["provided"]
-        required = data["required"]
-    except KeyError as exc:
-        raise SchemaError(f"component object is missing key {exc.args[0]!r}") from None
-    if not isinstance(provided, list) or not isinstance(required, list):
-        raise SchemaError("component 'provided' and 'required' must be arrays")
-    internal_map = data.get("internal_map", {})
-    if not isinstance(internal_map, dict):
-        raise SchemaError("component 'internal_map' must be an object")
-    try:
-        return Component(
-            name=name,
-            provided=frozenset(provided),
-            required=frozenset(required),
-            internal_map=tuple(internal_map.items()),
-        )
-    except (InvalidIdentifier, ValueError, TypeError) as exc:
-        if isinstance(exc, DisjointnessViolation):
-            raise
-        raise SchemaError(f"invalid component object: {exc}") from None
-
-
-def component_to_json(component: Component) -> str:
-    """Stable JSON rendering: fixed key order, sorted arrays, trailing newline."""
-    return json.dumps(component_to_dict(component), indent=2) + "\n"
-
-
-def component_from_json(text: str) -> Component:
-    return component_from_dict(_loads(text))
-
-
-def composition_result_to_dict(result: CompositionResult) -> dict:
-    return {
-        "left": result.left_name,
-        "right": result.right_name,
-        "satisfied": sorted(str(s) for s in result.satisfied),
-        "composed": component_to_dict(result.composed),
-        "steps": [
-            {
-                "left": step.left,
-                "right": step.right,
-                "satisfied": sorted(str(s) for s in step.satisfied),
-            }
-            for step in result.steps
-        ],
-    }
-
-
-def composition_result_from_dict(data: object) -> CompositionResult:
-    if not isinstance(data, dict):
-        raise SchemaError("composition result must be a JSON object")
-    for key in ("left", "right", "satisfied", "composed", "steps"):
-        if key not in data:
-            raise SchemaError(f"composition result is missing key {key!r}")
-    if not isinstance(data["satisfied"], list) or not isinstance(data["steps"], list):
-        raise SchemaError("composition 'satisfied' and 'steps' must be arrays")
-    steps = []
-    for raw in data["steps"]:
-        if not isinstance(raw, dict) or not {"left", "right", "satisfied"} <= raw.keys():
-            raise SchemaError("composition step must have 'left', 'right' and 'satisfied'")
-        try:
-            steps.append(
-                CompositionStep(left=raw["left"], right=raw["right"], satisfied=frozenset(raw["satisfied"]))
-            )
-        except (InvalidIdentifier, TypeError) as exc:
-            raise SchemaError(f"invalid composition step: {exc}") from None
-    try:
-        result = CompositionResult(composed=component_from_dict(data["composed"]), steps=tuple(steps))
-        satisfied = _service_set(data["satisfied"])
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"invalid composition result: {exc}") from None
-    if (data["left"], data["right"], satisfied) != (result.left_name, result.right_name, result.satisfied):
-        raise SchemaError("composition result 'left', 'right' and 'satisfied' must match its last step")
-    return result
-
-
-def composition_result_to_json(result: CompositionResult) -> str:
-    return json.dumps(composition_result_to_dict(result), indent=2) + "\n"
-
-
-def composition_result_from_json(text: str) -> CompositionResult:
-    return composition_result_from_dict(_loads(text))
-
-
-def _loads(text: str) -> object:
-    """Parse JSON text, reporting malformed input as a SchemaError.
-
-    Besides syntax errors (``JSONDecodeError``), ``json.loads`` raises
-    ``RecursionError`` on deeply nested arrays or objects and ``ValueError``
-    on an integer literal longer than the interpreter's digit limit.
-    """
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None

@@ -1,0 +1,335 @@
+"""Readers and writers of the JSON documents: component, composition result,
+CIG, test library and composed library result.
+
+Each writer gives the bytes ``json.dumps(document, indent=2)`` gives, plus a
+newline, without building a dict tree. Each reader reports malformed input as
+a ``SchemaError``.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .cig import _KIND_ORDER, Cig, CigEdge, CigNode, StateRef
+from .components import Component, CompositionResult, CompositionStep, _service_set
+from .errors import InvalidIdentifier, SchemaError
+from .testlib import ComposedLibraryResult, Origin, TestCase, TestLibrary, TestStep
+
+# Every string goes through the escaper json.dumps itself uses.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _loads(text: str) -> object:
+    """Parse JSON text, reporting malformed input as a SchemaError.
+
+    Besides syntax errors (``JSONDecodeError``), ``json.loads`` raises
+    ``RecursionError`` on deeply nested arrays or objects and ``ValueError``
+    on an integer literal longer than the interpreter's digit limit.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+
+
+def _array(texts: list[str], pad: str) -> str:
+    """JSON texts as an array opened on a line indented by ``pad``."""
+    if not texts:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
+
+
+def _object(fields: dict[str, str], pad: str) -> str:
+    """Keys and JSON texts as a nonempty object opened on a line indented by ``pad``."""
+    inner = "\n" + pad + "  "
+    pairs = [f"{_quote(key)}: {text}" for key, text in fields.items()]
+    return "{" + inner + ("," + inner).join(pairs) + "\n" + pad + "}"
+
+
+def _component_text(component: Component, pad: str) -> str:
+    inner = pad + "  "
+    fields = {
+        "name": _quote(component.name),
+        "provided": _array([_quote(s) for s in sorted(component.provided)], inner),
+        "required": _array([_quote(s) for s in sorted(component.required)], inner),
+    }
+    if component.internal_map:
+        fields["internal_map"] = _object({k: _quote(v) for k, v in component.internal_map}, inner)
+    return _object(fields, pad)
+
+
+def component_to_json(component: Component) -> str:
+    """Stable JSON rendering: fixed key order, sorted arrays, trailing newline."""
+    return _component_text(component, "") + "\n"
+
+
+def component_from_dict(data: object) -> Component:
+    if not isinstance(data, dict):
+        raise SchemaError("component must be a JSON object")
+    try:
+        name = data["name"]
+        provided = data["provided"]
+        required = data["required"]
+    except KeyError as exc:
+        raise SchemaError(f"component object is missing key {exc.args[0]!r}") from None
+    if not isinstance(provided, list) or not isinstance(required, list):
+        raise SchemaError("component 'provided' and 'required' must be arrays")
+    internal_map = data.get("internal_map", {})
+    if not isinstance(internal_map, dict):
+        raise SchemaError("component 'internal_map' must be an object")
+    try:
+        return Component(
+            name=name,
+            provided=frozenset(provided),
+            required=frozenset(required),
+            internal_map=tuple(internal_map.items()),
+        )
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"invalid component object: {exc}") from None
+
+
+def component_from_json(text: str) -> Component:
+    return component_from_dict(_loads(text))
+
+
+def composition_result_to_json(result: CompositionResult) -> str:
+    steps = []
+    for step in result.steps:
+        satisfied = _array([_quote(s) for s in sorted(step.satisfied)], "      ")
+        fields = {"left": _quote(step.left), "right": _quote(step.right), "satisfied": satisfied}
+        steps.append(_object(fields, "    "))
+    document = {
+        "left": _quote(result.left_name),
+        "right": _quote(result.right_name),
+        "satisfied": _array([_quote(s) for s in sorted(result.satisfied)], "  "),
+        "composed": _component_text(result.composed, "  "),
+        "steps": _array(steps, "  "),
+    }
+    return _object(document, "") + "\n"
+
+
+def composition_result_from_json(text: str) -> CompositionResult:
+    data = _loads(text)
+    if not isinstance(data, dict):
+        raise SchemaError("composition result must be a JSON object")
+    for key in ("left", "right", "satisfied", "composed", "steps"):
+        if key not in data:
+            raise SchemaError(f"composition result is missing key {key!r}")
+    if not isinstance(data["satisfied"], list) or not isinstance(data["steps"], list):
+        raise SchemaError("composition 'satisfied' and 'steps' must be arrays")
+    steps = []
+    for raw in data["steps"]:
+        if not isinstance(raw, dict) or not {"left", "right", "satisfied"} <= raw.keys():
+            raise SchemaError("composition step must have 'left', 'right' and 'satisfied'")
+        try:
+            steps.append(
+                CompositionStep(left=raw["left"], right=raw["right"], satisfied=frozenset(raw["satisfied"]))
+            )
+        except (InvalidIdentifier, TypeError) as exc:
+            raise SchemaError(f"invalid composition step: {exc}") from None
+    try:
+        result = CompositionResult(composed=component_from_dict(data["composed"]), steps=tuple(steps))
+        satisfied = _service_set(data["satisfied"])
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(f"invalid composition result: {exc}") from None
+    if (data["left"], data["right"], satisfied) != (result.left_name, result.right_name, result.satisfied):
+        raise SchemaError("composition result 'left', 'right' and 'satisfied' must match its last step")
+    return result
+
+
+def _ref_text(ref: StateRef, pad: str) -> str:
+    return _object({"component": _quote(ref[0]), "state": _quote(ref[1])}, pad)
+
+
+def cig_to_json(cig: Cig) -> str:
+    nodes = []
+    for node in cig.nodes:
+        kinds = _array([_quote(k.value) for k in _KIND_ORDER if k in node.kinds], "      ")
+        fields = {"component": _quote(node.component), "state": _quote(node.state), "kinds": kinds}
+        nodes.append(_object(fields, "    "))
+    edges = []
+    for edge in cig.edges:
+        source, target = _ref_text(edge.source, "      "), _ref_text(edge.target, "      ")
+        edges.append(_object({"from": source, "to": target, "service": _quote(edge.service)}, "    "))
+    document = {
+        "components": _array([_quote(component) for component in cig.components], "  "),
+        "removed": _array([_ref_text(ref, "    ") for ref in cig.removed], "  "),
+        "nodes": _array(nodes, "  "),
+        "edges": _array(edges, "  "),
+    }
+    return _object(document, "") + "\n"
+
+
+def _ref_from_dict(data: object, what: str) -> StateRef:
+    if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
+        raise SchemaError(f"{what} must be an object with 'component' and 'state'")
+    return (data["component"], data["state"])
+
+
+_CODE_TO_KIND = {k.value: k for k in _KIND_ORDER}
+
+
+def cig_from_json(text: str) -> Cig:
+    data = _loads(text)
+    if not isinstance(data, dict):
+        raise SchemaError("CIG document must be a JSON object")
+    for key in ("components", "removed", "nodes", "edges"):
+        if key not in data:
+            raise SchemaError(f"CIG document is missing key {key!r}")
+        if not isinstance(data[key], list):
+            raise SchemaError(f"CIG {key!r} must be an array")
+    try:
+        nodes = []
+        for raw in data["nodes"]:
+            if not isinstance(raw, dict) or not {"component", "state", "kinds"} <= raw.keys():
+                raise SchemaError("CIG node must have 'component', 'state' and 'kinds'")
+            kinds = raw["kinds"]
+            if not isinstance(kinds, list) or not all(k in _CODE_TO_KIND for k in kinds):
+                raise SchemaError(f"invalid kind codes in node {raw.get('state')!r}")
+            nodes.append(
+                CigNode(
+                    component=raw["component"],
+                    state=raw["state"],
+                    kinds=frozenset(_CODE_TO_KIND[k] for k in kinds),
+                )
+            )
+        edges = []
+        for raw in data["edges"]:
+            if not isinstance(raw, dict) or not {"from", "to", "service"} <= raw.keys():
+                raise SchemaError("CIG edge must have 'from', 'to' and 'service'")
+            edges.append(
+                CigEdge(
+                    source=_ref_from_dict(raw["from"], "edge 'from'"),
+                    target=_ref_from_dict(raw["to"], "edge 'to'"),
+                    service=raw["service"],
+                )
+            )
+        return Cig(
+            components=tuple(data["components"]),
+            removed=tuple(_ref_from_dict(r, "removed entry") for r in data["removed"]),
+            nodes=tuple(nodes),
+            edges=tuple(edges),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid CIG document: {exc}") from None
+
+
+def _case_text(case: TestCase, pad: str) -> str:
+    """The case object opened on a line indented by ``pad``."""
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    steps = []
+    for step in case.steps:
+        state = ""
+        if step.expected_state is not None:
+            component, name = map(_quote, step.expected_state)
+            state = (
+                f'"expected_state": {{\n{p3}  "component": {component},\n'
+                f'{p3}  "state": {name}\n{p3}}},\n{p3}'
+            )
+        steps.append(
+            f'{{\n{p3}"event": {_quote(step.event)},\n{p3}{state}"expected_actions": '
+            f"{_array([_quote(a) for a in step.expected_actions], p3)}\n{p2}}}"
+        )
+    return (
+        f'{{\n{p1}"id": {_quote(case.id)},\n{p1}"owner": {_quote(case.owner)},\n'
+        f'{p1}"origin": {_quote(case.origin.value)},\n'
+        f'{p1}"services": {_array([_quote(s) for s in sorted(case.services)], p1)},\n'
+        f'{p1}"steps": {_array(steps, p1)}\n{pad}}}'
+    )
+
+
+def _library_text(library: TestLibrary, pad: str, memo: dict[int, str]) -> str:
+    """The library object opened on a line indented by ``pad``. ``memo`` maps
+    ``id(case)`` to text written at this ``pad``, so a case object held twice
+    is written once (not keyed by case id: a loaded document may reuse one)."""
+    for case in library.cases:
+        if id(case) not in memo:
+            memo[id(case)] = _case_text(case, pad + "    ")
+    texts = [memo[id(case)] for case in library.cases]
+    return f'{{\n{pad}  "cases": {_array(texts, pad + "  ")}\n{pad}}}'
+
+
+def _step_from_dict(data: object) -> TestStep:
+    if not isinstance(data, dict) or "event" not in data:
+        raise SchemaError("test step must be an object with an 'event'")
+    expected_state = None
+    if "expected_state" in data:
+        ref = data["expected_state"]
+        if not isinstance(ref, dict) or not {"component", "state"} <= ref.keys():
+            raise SchemaError("'expected_state' must have 'component' and 'state'")
+        expected_state = (ref["component"], ref["state"])
+    actions = data.get("expected_actions", [])
+    if not isinstance(actions, list):
+        raise SchemaError("'expected_actions' must be an array")
+    try:
+        return TestStep(
+            event=data["event"],
+            expected_state=expected_state,
+            expected_actions=tuple(actions),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid test step: {exc}") from None
+
+
+def _case_from_dict(data: object) -> TestCase:
+    if not isinstance(data, dict):
+        raise SchemaError("test case must be a JSON object")
+    for key in ("id", "owner", "services", "steps"):
+        if key not in data:
+            raise SchemaError(f"test case is missing key {key!r}")
+    origin_code = data.get("origin", Origin.LIBRARY.value)
+    try:
+        origin = Origin(origin_code)
+    except ValueError:
+        raise SchemaError(f"unknown origin {origin_code!r}") from None
+    if not isinstance(data["services"], list) or not isinstance(data["steps"], list):
+        raise SchemaError("test case 'services' and 'steps' must be arrays")
+    try:
+        return TestCase(
+            id=data["id"],
+            owner=data["owner"],
+            services=frozenset(data["services"]),
+            steps=tuple(_step_from_dict(s) for s in data["steps"]),
+            origin=origin,
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid test case: {exc}") from None
+
+
+def library_from_dict(data: object) -> TestLibrary:
+    if not isinstance(data, dict) or "cases" not in data:
+        raise SchemaError("test library must be an object with a 'cases' array")
+    if not isinstance(data["cases"], list):
+        raise SchemaError("'cases' must be an array")
+    return TestLibrary(tuple(_case_from_dict(c) for c in data["cases"]))
+
+
+def library_to_json(library: TestLibrary) -> str:
+    return _library_text(library, "", {}) + "\n"
+
+
+def library_from_json(text: str) -> TestLibrary:
+    return library_from_dict(_loads(text))
+
+
+def composed_result_to_json(result: ComposedLibraryResult) -> str:
+    memo: dict[int, str] = {}
+    keys = ("retained", "removed", "generated", "final")
+    parts = [f'"{key}": {_library_text(getattr(result, key), "  ", memo)}' for key in keys]
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+
+
+def composed_result_from_json(text: str) -> ComposedLibraryResult:
+    data = _loads(text)
+    if not isinstance(data, dict):
+        raise SchemaError("composed library result must be a JSON object")
+    parts = {}
+    for key in ("retained", "removed", "generated", "final"):
+        if key not in data:
+            raise SchemaError(f"composed library result is missing key {key!r}")
+        parts[key] = library_from_dict(data[key])
+    try:
+        return ComposedLibraryResult(**parts)
+    except ValueError as exc:
+        raise SchemaError(f"invalid composed library result: {exc}") from None

@@ -9,13 +9,12 @@ the generated cases, one generated case per interaction-graph edge.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .cig import Cig, CigEdge, StateRef, build_cig
-from .components import ServiceName, _loads, check_identifier
+from .components import ServiceName, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 from .statechart import ChartSet, Statechart, Transition
 
@@ -326,139 +325,3 @@ def _final_step(
         expected_state=expected_state,
         expected_actions=tuple(a.action for a in trigger.actions),
     )
-
-
-# The writers below give the bytes json.dumps(indent=2) gives for the same
-# documents; every string goes through the escaper json.dumps itself uses.
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _array(texts: list[str], pad: str) -> str:
-    """JSON texts as an array opened on a line indented by ``pad``."""
-    if not texts:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
-
-
-def _case_text(case: TestCase, pad: str) -> str:
-    """The case object opened on a line indented by ``pad``."""
-    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    steps = []
-    for step in case.steps:
-        state = ""
-        if step.expected_state is not None:
-            component, name = map(_quote, step.expected_state)
-            state = (
-                f'"expected_state": {{\n{p3}  "component": {component},\n'
-                f'{p3}  "state": {name}\n{p3}}},\n{p3}'
-            )
-        steps.append(
-            f'{{\n{p3}"event": {_quote(step.event)},\n{p3}{state}"expected_actions": '
-            f"{_array([_quote(a) for a in step.expected_actions], p3)}\n{p2}}}"
-        )
-    return (
-        f'{{\n{p1}"id": {_quote(case.id)},\n{p1}"owner": {_quote(case.owner)},\n'
-        f'{p1}"origin": {_quote(case.origin.value)},\n'
-        f'{p1}"services": {_array([_quote(s) for s in sorted(case.services)], p1)},\n'
-        f'{p1}"steps": {_array(steps, p1)}\n{pad}}}'
-    )
-
-
-def _library_text(library: TestLibrary, pad: str, memo: dict[int, str]) -> str:
-    """The library object opened on a line indented by ``pad``. ``memo`` maps
-    ``id(case)`` to text written at this ``pad``, so a case object held twice
-    is written once (not keyed by case id: a loaded document may reuse one)."""
-    for case in library.cases:
-        if id(case) not in memo:
-            memo[id(case)] = _case_text(case, pad + "    ")
-    texts = [memo[id(case)] for case in library.cases]
-    return f'{{\n{pad}  "cases": {_array(texts, pad + "  ")}\n{pad}}}'
-
-
-def _step_from_dict(data: object) -> TestStep:
-    if not isinstance(data, dict) or "event" not in data:
-        raise SchemaError("test step must be an object with an 'event'")
-    expected_state = None
-    if "expected_state" in data:
-        ref = data["expected_state"]
-        if not isinstance(ref, dict) or not {"component", "state"} <= ref.keys():
-            raise SchemaError("'expected_state' must have 'component' and 'state'")
-        expected_state = (ref["component"], ref["state"])
-    actions = data.get("expected_actions", [])
-    if not isinstance(actions, list):
-        raise SchemaError("'expected_actions' must be an array")
-    try:
-        return TestStep(
-            event=data["event"],
-            expected_state=expected_state,
-            expected_actions=tuple(actions),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid test step: {exc}") from None
-
-
-def _case_from_dict(data: object) -> TestCase:
-    if not isinstance(data, dict):
-        raise SchemaError("test case must be a JSON object")
-    for key in ("id", "owner", "services", "steps"):
-        if key not in data:
-            raise SchemaError(f"test case is missing key {key!r}")
-    origin_code = data.get("origin", Origin.LIBRARY.value)
-    try:
-        origin = Origin(origin_code)
-    except ValueError:
-        raise SchemaError(f"unknown origin {origin_code!r}") from None
-    if not isinstance(data["services"], list) or not isinstance(data["steps"], list):
-        raise SchemaError("test case 'services' and 'steps' must be arrays")
-    try:
-        return TestCase(
-            id=data["id"],
-            owner=data["owner"],
-            services=frozenset(data["services"]),
-            steps=tuple(_step_from_dict(s) for s in data["steps"]),
-            origin=origin,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid test case: {exc}") from None
-
-
-def library_from_dict(data: object) -> TestLibrary:
-    if not isinstance(data, dict) or "cases" not in data:
-        raise SchemaError("test library must be an object with a 'cases' array")
-    if not isinstance(data["cases"], list):
-        raise SchemaError("'cases' must be an array")
-    return TestLibrary(tuple(_case_from_dict(c) for c in data["cases"]))
-
-
-def library_to_json(library: TestLibrary) -> str:
-    return _library_text(library, "", {}) + "\n"
-
-
-def library_from_json(text: str) -> TestLibrary:
-    return library_from_dict(_loads(text))
-
-
-def composed_result_from_dict(data: object) -> ComposedLibraryResult:
-    if not isinstance(data, dict):
-        raise SchemaError("composed library result must be a JSON object")
-    parts = {}
-    for key in ("retained", "removed", "generated", "final"):
-        if key not in data:
-            raise SchemaError(f"composed library result is missing key {key!r}")
-        parts[key] = library_from_dict(data[key])
-    try:
-        return ComposedLibraryResult(**parts)
-    except ValueError as exc:
-        raise SchemaError(f"invalid composed library result: {exc}") from None
-
-
-def composed_result_to_json(result: ComposedLibraryResult) -> str:
-    memo: dict[int, str] = {}
-    keys = ("retained", "removed", "generated", "final")
-    parts = [f'"{key}": {_library_text(getattr(result, key), "  ", memo)}' for key in keys]
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
-
-
-def composed_result_from_json(text: str) -> ComposedLibraryResult:
-    return composed_result_from_dict(_loads(text))

@@ -299,3 +299,64 @@ def oracle_composed_json(result):
         for key in ("retained", "removed", "generated", "final")
     }
     return json.dumps(parts, indent=2) + "\n"
+
+
+def _oracle_ref_dict(ref):
+    return {"component": ref[0], "state": ref[1]}
+
+
+def oracle_cig_json(cig):
+    """A CIG as a dict tree written by ``json.dumps(indent=2)``; node kinds in
+    P, R, G order."""
+    document = {
+        "components": list(cig.components),
+        "removed": [_oracle_ref_dict(ref) for ref in cig.removed],
+        "nodes": [
+            {
+                "component": node.component,
+                "state": node.state,
+                "kinds": [code for code in ("P", "R", "G") if code in {k.value for k in node.kinds}],
+            }
+            for node in cig.nodes
+        ],
+        "edges": [
+            {
+                "from": _oracle_ref_dict(edge.source),
+                "to": _oracle_ref_dict(edge.target),
+                "service": str(edge.service),
+            }
+            for edge in cig.edges
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def _oracle_component_dict(component):
+    data = {
+        "name": component.name,
+        "provided": sorted(str(s) for s in component.provided),
+        "required": sorted(str(s) for s in component.required),
+    }
+    if component.internal_map:
+        data["internal_map"] = {str(k): str(v) for k, v in component.internal_map}
+    return data
+
+
+def oracle_component_json(component):
+    """A component written the same way; ``internal_map`` only when nonempty."""
+    return json.dumps(_oracle_component_dict(component), indent=2) + "\n"
+
+
+def oracle_composition_json(result):
+    """A composition result written the same way, its last step on top."""
+    document = {
+        "left": result.steps[-1].left,
+        "right": result.steps[-1].right,
+        "satisfied": sorted(str(s) for s in result.steps[-1].satisfied),
+        "composed": _oracle_component_dict(result.composed),
+        "steps": [
+            {"left": step.left, "right": step.right, "satisfied": sorted(str(s) for s in step.satisfied)}
+            for step in result.steps
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"

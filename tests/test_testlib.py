@@ -6,6 +6,7 @@ import pytest
 import cigkit.testlib as testlib
 from cigkit import (
     ChartSet,
+    CigError,
     DuplicateTestId,
     InvalidIdentifier,
     Origin,
@@ -25,7 +26,13 @@ from cigkit import (
     satisfied_tests,
 )
 from conftest import FIXTURES
-from oracles import oracle_event_path, random_chart
+from oracles import (
+    oracle_event_path,
+    random_chart,
+    random_chart_set,
+    random_interacting_pair,
+    replay_witness,
+)
 
 VM = "VendingMachine"
 DISP = "Dispenser"
@@ -365,6 +372,31 @@ def test_event_paths_match_per_goal_search():
                 assert state not in paths, (chart, state)
             else:
                 assert paths.get(state) == expected, (chart, state)
+
+
+def test_generated_cases_replay_on_random_charts():
+    # beyond the fixtures: each case generated for a random chart set drives
+    # its emitting chart to the providing state and fires the edge's service
+    rng = random.Random(20101019)
+    checked, cases, skipped = [0, 0], 0, 0  # checked: chart sets, interacting pairs
+    for i in range(3000):
+        pair = i % 2
+        charts = ChartSet(tuple(random_interacting_pair(rng) if pair else random_chart_set(rng, 2 + i % 3)))
+        try:
+            cig = build_cig(charts)
+            library = generate_new_tests(cig, charts)
+        except CigError:
+            skipped += 1
+            continue
+        by_id = {case.id: case for case in library}
+        assert len(by_id) == len(cig.edges)
+        for edge in cig.edges:
+            case = by_id["_".join(("tnew", *edge.source, str(edge.service), *edge.target))]
+            emitter = charts.get(edge.source[0])
+            assert replay_witness(emitter, case.steps, edge.source[1], edge.service), (charts, case)
+        checked[pair] += 1
+        cases += len(library)
+    assert min(checked) >= 100 and cases >= 1500, (checked, cases, skipped)
 
 
 def test_generate_searches_once_per_emitting_chart(fixture_charts, monkeypatch):
