@@ -97,7 +97,8 @@ class Cig:
     edges: tuple[CigEdge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        components = tuple(check_identifier(c, "component name") for c in self.components)
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "removed", tuple((c, s) for c, s in self.removed))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -122,6 +123,8 @@ class Cig:
             if Kind.REQUIRED not in by_ref[edge.target].kinds:
                 raise ValueError(f"edge target {edge.target} is not a required interface")
         for ref in self.removed:
+            check_identifier(ref[0], "component name")
+            check_identifier(ref[1], "state name")
             if ref in known:
                 raise ValueError(f"removed state {ref} still appears as a node")
 

@@ -108,6 +108,8 @@ class CompositionStep:
     satisfied: frozenset[ServiceName]
 
     def __post_init__(self):
+        check_identifier(self.left, "component name")
+        check_identifier(self.right, "component name")
         object.__setattr__(self, "satisfied", _service_set(self.satisfied))
 
 

@@ -5,8 +5,10 @@ an optional trigger event, an optional opaque guard, and a list of emitted
 actions. The event names a machine accepts form its provided interface; the
 action names it emits form its required interface.
 
-Text format, one declaration per line. ``#`` starts a comment (except inside
-guard brackets) and blank lines are ignored:
+Text format, one declaration per line, with lines split as ``str.splitlines``
+splits them. Blank lines are ignored and ``#`` outside guard brackets starts a
+comment. Whitespace is Unicode whitespace, and a word ends at whitespace, ``(``
+or ``[``:
 
     component Vending
     state Idle
@@ -16,14 +18,18 @@ guard brackets) and blank lines are ignored:
     transition Busy -> Idle do reset
     end
 
-A transition without an ``on`` clause is automatic: it is taken spontaneously
-on entering its source state. Guards and action parameters are opaque text;
-they round-trip through the serializer but are never interpreted. The
-parameter token ``2..max`` style denotes a value range and is kept verbatim.
+A guard is ``[`` up to the first ``]``. A parameter list is ``(`` up to the
+first ``)`` and follows its action name with no space between; its tokens are
+comma-separated, with no ASCII whitespace and none of ``,()[]#``. A transition
+without an ``on`` clause is automatic: it is taken spontaneously on entering
+its source state. Guards and action parameters are opaque text; they
+round-trip through the serializer but are never interpreted. The parameter
+token ``2..max`` style denotes a value range and is kept verbatim.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,11 +43,21 @@ from .errors import (
     UnknownState,
 )
 
-_PARAM_FORBIDDEN = set(",()[]#") | set(" \t\r\n\f\v")
+# The lexical rules of the format, each written once. An unterminated guard or
+# parameter list runs to the end of the line, where the parser reports it.
+_GUARD = r"\[[^\]]*\]?"
+_PARAMS = r"\([^)]*\)?"
+_WORD = r"[^\s(\[]+"
+_UNCOMMENTED = re.compile(rf"(?:[^#\[]+|{_GUARD})*")
+_TOKEN = re.compile(rf"{_GUARD}|{_PARAMS}|{_WORD}|\Z")  # \Z: an empty token ends each line
+# the characters str.splitlines breaks on, which no parsed line contains
+_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_PARAM_FORBIDDEN = frozenset(",()[]# \t" + _LINE_BREAKS)
+_GUARD_FORBIDDEN = frozenset("[]" + _LINE_BREAKS)
 
 
 def _check_param_token(token: str) -> str:
-    if not token or any(ch in _PARAM_FORBIDDEN for ch in token):
+    if not token or not _PARAM_FORBIDDEN.isdisjoint(token) or token != token.strip():
         raise ValueError(f"invalid parameter token: {token!r}")
     return token
 
@@ -73,8 +89,8 @@ class Transition:
         check_identifier(self.target, "state name")
         if self.event is not None:
             object.__setattr__(self, "event", ServiceName(self.event))
-        if self.guard is not None and ("[" in self.guard or "]" in self.guard or "\n" in self.guard):
-            raise ValueError(f"guard text may not contain brackets or newlines: {self.guard!r}")
+        if self.guard is not None and not _GUARD_FORBIDDEN.isdisjoint(self.guard):
+            raise ValueError(f"guard text may not contain brackets or line breaks: {self.guard!r}")
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
@@ -154,53 +170,30 @@ class ChartSet:
         return self._by_name[name]
 
 
-def _strip_comment(line: str) -> str:
-    # '#' starts a comment except inside guard brackets
-    depth = 0
-    for i, ch in enumerate(line):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth = max(0, depth - 1)
-        elif ch == "#" and depth == 0:
-            return line[:i]
-    return line
+class _Line:
+    """The tokens of one declaration line with their 1-based columns, read in
+    order up to the empty token one column past the line's end."""
 
-
-class _Scanner:
-    """Cursor over one declaration line, reporting 1-based columns."""
-
-    def __init__(self, line: str, lineno: int):
-        self.line = line
+    def __init__(self, content: str, lineno: int):
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
         self.lineno = lineno
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.line) and self.line[self.pos].isspace():
-            self.pos += 1
+        self.i = 0
 
     def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.line)
+        return not self.tokens[self.i][0]
 
     def take_word(self, what: str) -> tuple[str, int]:
-        self._skip_ws()
-        start = self.pos
-        while (
-            self.pos < len(self.line)
-            and not self.line[self.pos].isspace()
-            and self.line[self.pos] not in "(["
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(f"expected {what}", self.lineno, start + 1)
-        return self.line[start : self.pos], start + 1
+        word, column = self.tokens[self.i]
+        if not word or word[0] in "([":
+            raise ParseError(f"expected {what}", self.lineno, column)
+        self.i += 1
+        return word, column
 
-    def take_identifier(self, what: str) -> str:
+    def take_identifier(self, what: str) -> tuple[str, int]:
         word, column = self.take_word(what)
         if not _IDENTIFIER_RE.match(word):
             raise ParseError(f"invalid {what}: {word!r}", self.lineno, column)
-        return word
+        return word, column
 
     def expect(self, literal: str):
         word, column = self.take_word(f"'{literal}'")
@@ -208,72 +201,65 @@ class _Scanner:
             raise ParseError(f"expected {literal!r}, found {word!r}", self.lineno, column)
 
     def take_guard_text(self) -> str:
-        self._skip_ws()
-        column = self.pos + 1
-        if self.pos >= len(self.line) or self.line[self.pos] != "[":
+        token, column = self.tokens[self.i]
+        if token[:1] != "[":
             raise ParseError("expected '[' after 'guard'", self.lineno, column)
-        end = self.line.find("]", self.pos + 1)
-        if end < 0:
+        if token[-1] != "]":
             raise ParseError("unterminated guard, missing ']'", self.lineno, column)
-        text = self.line[self.pos + 1 : end]
+        text = token[1:-1]
         if "[" in text:
             raise ParseError("guard text may not contain '['", self.lineno, column)
-        self.pos = end + 1
+        self.i += 1
         return text
 
     def take_action(self) -> ActionEmission:
-        name = self.take_identifier("action name")
-        params: tuple[str, ...] = ()
-        if self.pos < len(self.line) and self.line[self.pos] == "(":
-            column = self.pos + 1
-            end = self.line.find(")", self.pos + 1)
-            if end < 0:
-                raise ParseError("unterminated parameter list, missing ')'", self.lineno, column)
-            inner = self.line[self.pos + 1 : end]
-            self.pos = end + 1
-            if inner.strip():
-                tokens = []
-                for raw in inner.split(","):
-                    token = raw.strip()
-                    try:
-                        tokens.append(_check_param_token(token))
-                    except ValueError:
-                        raise ParseError(f"invalid parameter token {token!r}", self.lineno, column) from None
-                params = tuple(tokens)
+        name, name_column = self.take_identifier("action name")
+        token, column = self.tokens[self.i]
+        if token[:1] != "(" or column != name_column + len(name):
+            return ActionEmission(action=name)
+        if token[-1] != ")":
+            raise ParseError("unterminated parameter list, missing ')'", self.lineno, column)
+        self.i += 1
+        inner = token[1:-1]
+        params = tuple(raw.strip() for raw in inner.split(",")) if inner.strip() else ()
+        for param in params:
+            try:
+                _check_param_token(param)
+            except ValueError:
+                raise ParseError(f"invalid parameter token {param!r}", self.lineno, column) from None
         return ActionEmission(action=name, params=params)
 
     def finish(self):
-        if not self.at_end():
-            raise ParseError("unexpected trailing text", self.lineno, self.pos + 1)
+        token, column = self.tokens[self.i]
+        if token:
+            raise ParseError("unexpected trailing text", self.lineno, column)
 
 
-def _parse_transition_clauses(sc: _Scanner) -> Transition:
-    source = sc.take_identifier("source state")
-    source_col = sc.pos - len(source) + 1
-    sc.expect("->")
-    target = sc.take_identifier("target state")
-    target_col = sc.pos - len(target) + 1
+def _parse_transition_clauses(line: _Line) -> tuple[Transition, int, int]:
+    source, source_col = line.take_identifier("source state")
+    line.expect("->")
+    target, target_col = line.take_identifier("target state")
     event = None
     guard = None
     actions: list[ActionEmission] = []
     stage = 0  # 0: nothing yet, 1: after 'on', 2: after 'guard', 3: in 'do' list
-    while not sc.at_end():
-        word, column = sc.take_word("'on', 'guard' or 'do'")
+    while not line.at_end():
+        word, column = line.take_word("'on', 'guard' or 'do'")
         if word == "on":
             if stage >= 1:
-                raise ParseError("'on' must appear once, before 'guard' and 'do'", sc.lineno, column)
-            event = sc.take_identifier("event name")
+                raise ParseError("'on' must appear once, before 'guard' and 'do'", line.lineno, column)
+            event, _ = line.take_identifier("event name")
             stage = 1
         elif word == "guard":
             if stage >= 2:
-                raise ParseError("'guard' must appear once, before any 'do'", sc.lineno, column)
-            guard = sc.take_guard_text()
+                raise ParseError("'guard' must appear once, before any 'do'", line.lineno, column)
+            guard = line.take_guard_text()
             stage = 2
         elif word == "do":
-            actions.append(sc.take_action())
+            actions.append(line.take_action())
             stage = 3
         else:
-            raise ParseError(f"expected 'on', 'guard' or 'do', found {word!r}", sc.lineno, column)
+            raise ParseError(f"expected 'on', 'guard' or 'do', found {word!r}", line.lineno, column)
     t = Transition(source=source, target=target, event=event, guard=guard, actions=tuple(actions))
     return t, source_col, target_col
 
@@ -295,15 +281,14 @@ def parse_statechart(text: str) -> Statechart:
     ended = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw)
-        if not content.strip():
+        line = _Line(_UNCOMMENTED.match(raw).group(), lineno)
+        if line.at_end():
             continue
-        sc = _Scanner(content, lineno)
-        keyword, column = sc.take_word("a declaration")
+        keyword, column = line.take_word("a declaration")
         if ended:
             raise ParseError("content after 'end'", lineno, column)
         if keyword == "component":
-            name = sc.take_identifier("component name")
+            name, _ = line.take_identifier("component name")
             if component_name is not None:
                 raise DuplicateComponent(
                     f"second 'component' header (already named {component_name!r})", lineno, column
@@ -312,7 +297,7 @@ def parse_statechart(text: str) -> Statechart:
         elif component_name is None:
             raise ParseError("expected 'component' header first", lineno, column)
         elif keyword == "state":
-            name = sc.take_identifier("state name")
+            name, _ = line.take_identifier("state name")
             if name in state_set:
                 raise DuplicateState(f"duplicate state {name!r}", lineno, column)
             states.append(name)
@@ -320,16 +305,16 @@ def parse_statechart(text: str) -> Statechart:
         elif keyword == "initial":
             if initial is not None:
                 raise ParseError("duplicate 'initial' declaration", lineno, column)
-            initial = sc.take_identifier("initial state name")
+            initial, _ = line.take_identifier("initial state name")
             initial_line = lineno
         elif keyword == "transition":
-            t, source_col, target_col = _parse_transition_clauses(sc)
+            t, source_col, target_col = _parse_transition_clauses(line)
             transitions.append((t, lineno, source_col, target_col))
         elif keyword == "end":
             ended = True
         else:
             raise ParseError(f"unknown declaration {keyword!r}", lineno, column)
-        sc.finish()
+        line.finish()
     if component_name is None:
         raise ParseError("missing 'component' header", len(lines) or 1)
     if initial is None:

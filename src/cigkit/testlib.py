@@ -249,7 +249,7 @@ def generate_new_tests(
                     raise SchemaError(
                         f"CIG references state {state!r} missing from {chart.component_name!r}"
                     )
-            case_id = "_".join(("tnew", *edge.source, str(edge.service), *edge.target))
+            case_id = _GENERATED_PREFIX + "_".join((*edge.source, str(edge.service), *edge.target))
             final = _final_step(case_id, edge, emitter_chart, acceptor_chart, warn)
             setup = setup_by_source.get(edge.source)
             if setup is None:

@@ -3,14 +3,26 @@
 Everything here is written directly against the definitions, separately from
 the package code, so the two can check each other. The composition oracle
 works on plain sets; the replay walker explores every nondeterministic
-execution of a statechart instead of trusting the generator's path choice.
+execution of a statechart instead of trusting the generator's path choice;
+the reference parser walks each line character by character.
 """
 
 import heapq
 import json
 import random
+import re
 
-from cigkit import ActionEmission, Statechart, Transition, UnreachableProvider
+from cigkit import (
+    ActionEmission,
+    DuplicateComponent,
+    DuplicateState,
+    MissingInitial,
+    ParseError,
+    Statechart,
+    Transition,
+    UnknownState,
+    UnreachableProvider,
+)
 
 
 def oracle_compose(p1, r1, p2, r2):
@@ -360,3 +372,213 @@ def oracle_composition_json(result):
         ],
     }
     return json.dumps(document, indent=2) + "\n"
+
+
+# The statechart parser as a cursor walking characters: the reference the
+# compiled-pattern parser in cigkit.statechart is checked against. It keeps
+# its own identifier and parameter-token rules.
+_ORACLE_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ORACLE_PARAM_FORBIDDEN = set(",()[]#") | set(" \t\r\n\f\v")
+
+
+def _oracle_param_token(token):
+    if not token or any(ch in _ORACLE_PARAM_FORBIDDEN for ch in token):
+        raise ValueError(f"invalid parameter token: {token!r}")
+    return token
+
+
+def _oracle_strip_comment(line: str) -> str:
+    # '#' starts a comment except inside guard brackets
+    depth = 0
+    for i, ch in enumerate(line):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth = max(0, depth - 1)
+        elif ch == "#" and depth == 0:
+            return line[:i]
+    return line
+
+
+class _OracleScanner:
+    """Cursor over one declaration line, reporting 1-based columns."""
+
+    def __init__(self, line: str, lineno: int):
+        self.line = line
+        self.lineno = lineno
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.line) and self.line[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self._skip_ws()
+        return self.pos >= len(self.line)
+
+    def take_word(self, what: str) -> tuple[str, int]:
+        self._skip_ws()
+        start = self.pos
+        while (
+            self.pos < len(self.line)
+            and not self.line[self.pos].isspace()
+            and self.line[self.pos] not in "(["
+        ):
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(f"expected {what}", self.lineno, start + 1)
+        return self.line[start : self.pos], start + 1
+
+    def take_identifier(self, what: str) -> str:
+        word, column = self.take_word(what)
+        if not _ORACLE_IDENTIFIER.match(word):
+            raise ParseError(f"invalid {what}: {word!r}", self.lineno, column)
+        return word
+
+    def expect(self, literal: str):
+        word, column = self.take_word(f"'{literal}'")
+        if word != literal:
+            raise ParseError(f"expected {literal!r}, found {word!r}", self.lineno, column)
+
+    def take_guard_text(self) -> str:
+        self._skip_ws()
+        column = self.pos + 1
+        if self.pos >= len(self.line) or self.line[self.pos] != "[":
+            raise ParseError("expected '[' after 'guard'", self.lineno, column)
+        end = self.line.find("]", self.pos + 1)
+        if end < 0:
+            raise ParseError("unterminated guard, missing ']'", self.lineno, column)
+        text = self.line[self.pos + 1 : end]
+        if "[" in text:
+            raise ParseError("guard text may not contain '['", self.lineno, column)
+        self.pos = end + 1
+        return text
+
+    def take_action(self) -> ActionEmission:
+        name = self.take_identifier("action name")
+        params: tuple[str, ...] = ()
+        if self.pos < len(self.line) and self.line[self.pos] == "(":
+            column = self.pos + 1
+            end = self.line.find(")", self.pos + 1)
+            if end < 0:
+                raise ParseError("unterminated parameter list, missing ')'", self.lineno, column)
+            inner = self.line[self.pos + 1 : end]
+            self.pos = end + 1
+            if inner.strip():
+                tokens = []
+                for raw in inner.split(","):
+                    token = raw.strip()
+                    try:
+                        tokens.append(_oracle_param_token(token))
+                    except ValueError:
+                        raise ParseError(f"invalid parameter token {token!r}", self.lineno, column) from None
+                params = tuple(tokens)
+        return ActionEmission(action=name, params=params)
+
+    def finish(self):
+        if not self.at_end():
+            raise ParseError("unexpected trailing text", self.lineno, self.pos + 1)
+
+
+def _oracle_transition_clauses(sc: _OracleScanner):
+    source = sc.take_identifier("source state")
+    source_col = sc.pos - len(source) + 1
+    sc.expect("->")
+    target = sc.take_identifier("target state")
+    target_col = sc.pos - len(target) + 1
+    event = None
+    guard = None
+    actions: list[ActionEmission] = []
+    stage = 0  # 0: nothing yet, 1: after 'on', 2: after 'guard', 3: in 'do' list
+    while not sc.at_end():
+        word, column = sc.take_word("'on', 'guard' or 'do'")
+        if word == "on":
+            if stage >= 1:
+                raise ParseError("'on' must appear once, before 'guard' and 'do'", sc.lineno, column)
+            event = sc.take_identifier("event name")
+            stage = 1
+        elif word == "guard":
+            if stage >= 2:
+                raise ParseError("'guard' must appear once, before any 'do'", sc.lineno, column)
+            guard = sc.take_guard_text()
+            stage = 2
+        elif word == "do":
+            actions.append(sc.take_action())
+            stage = 3
+        else:
+            raise ParseError(f"expected 'on', 'guard' or 'do', found {word!r}", sc.lineno, column)
+    t = Transition(source=source, target=target, event=event, guard=guard, actions=tuple(actions))
+    return t, source_col, target_col
+
+
+def oracle_parse_statechart(text):
+    """Parse one statechart document, validating structure as it goes.
+
+    Raises ParseError on malformed lines, DuplicateComponent on a second
+    header, DuplicateState, MissingInitial, and UnknownState when the initial
+    state or a transition endpoint was never declared, all with the offending
+    line number.
+    """
+    component_name: str | None = None
+    states: list[str] = []
+    state_set: set[str] = set()
+    initial: str | None = None
+    initial_line = 0
+    transitions: list[tuple[Transition, int, int, int]] = []
+    ended = False
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        content = _oracle_strip_comment(raw)
+        if not content.strip():
+            continue
+        sc = _OracleScanner(content, lineno)
+        keyword, column = sc.take_word("a declaration")
+        if ended:
+            raise ParseError("content after 'end'", lineno, column)
+        if keyword == "component":
+            name = sc.take_identifier("component name")
+            if component_name is not None:
+                raise DuplicateComponent(
+                    f"second 'component' header (already named {component_name!r})", lineno, column
+                )
+            component_name = name
+        elif component_name is None:
+            raise ParseError("expected 'component' header first", lineno, column)
+        elif keyword == "state":
+            name = sc.take_identifier("state name")
+            if name in state_set:
+                raise DuplicateState(f"duplicate state {name!r}", lineno, column)
+            states.append(name)
+            state_set.add(name)
+        elif keyword == "initial":
+            if initial is not None:
+                raise ParseError("duplicate 'initial' declaration", lineno, column)
+            initial = sc.take_identifier("initial state name")
+            initial_line = lineno
+        elif keyword == "transition":
+            t, source_col, target_col = _oracle_transition_clauses(sc)
+            transitions.append((t, lineno, source_col, target_col))
+        elif keyword == "end":
+            ended = True
+        else:
+            raise ParseError(f"unknown declaration {keyword!r}", lineno, column)
+        sc.finish()
+    if component_name is None:
+        raise ParseError("missing 'component' header", len(lines) or 1)
+    if initial is None:
+        raise MissingInitial(f"component {component_name!r} declares no initial state")
+    if initial not in state_set:
+        raise UnknownState(f"initial state {initial!r} is not declared", initial_line)
+    for t, lineno, source_col, target_col in transitions:
+        if t.source not in state_set:
+            raise UnknownState(f"unknown state {t.source!r}", lineno, source_col)
+        if t.target not in state_set:
+            raise UnknownState(f"unknown state {t.target!r}", lineno, target_col)
+    if not ended:
+        raise ParseError("missing 'end'", len(lines) or 1)
+    return Statechart(
+        component_name=component_name,
+        states=tuple(states),
+        initial=initial,
+        transitions=tuple(t for t, _, _, _ in transitions),
+    )

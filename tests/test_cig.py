@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 import cigkit.cli as cli
 from cigkit import (
     ChartSet,
+    InvalidIdentifier,
     DisjointnessViolation,
     Kind,
     NoInteraction,
@@ -304,4 +306,16 @@ def test_cig_rejects_duplicate_edge(fixture_charts):
     data = json.loads(cig_to_json(build_cig(fixture_charts)))
     data["edges"].append(data["edges"][0])
     with pytest.raises(SchemaError, match="duplicate edge"):
+        cig_from_json(json.dumps(data))
+
+
+def test_cig_components_and_removed_refs_must_be_identifiers(fixture_charts):
+    cig = build_cig(fixture_charts)
+    with pytest.raises(InvalidIdentifier, match="invalid component name: 5"):
+        replace(cig, components=(*cig.components, 5))
+    with pytest.raises(InvalidIdentifier, match="invalid state name: None"):
+        replace(cig, removed=((VM, None),))
+    data = json.loads(cig_to_json(cig))
+    data["removed"] = [{"component": 5, "state": None}]
+    with pytest.raises(SchemaError, match="invalid CIG document: invalid component name: 5"):
         cig_from_json(json.dumps(data))

@@ -190,6 +190,17 @@ def test_tests_gen_rejects_duplicate_edge(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_tests_gen_rejects_a_removed_ref_that_is_no_name(capsys, tmp_path):
+    assert main(["cig", *FIXTURE_ARGS]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data["removed"] = [{"component": 5, "state": None}]
+    cig_path = _write(tmp_path, "cig.json", json.dumps(data))
+    assert main(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cig: error: {cig_path}: invalid CIG document: invalid component name: 5\n"
+
+
 def test_tests_gen_unreachable_provider_exit_1(capsys, tmp_path):
     a = _write(
         tmp_path,
@@ -286,6 +297,17 @@ def test_tests_compose_rejects_inconsistent_composition(capsys, tmp_path, edit, 
     err = capsys.readouterr().err
     assert err.startswith(f"cig: error: {bad}: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_tests_compose_rejects_a_step_operand_that_is_no_name(capsys, tmp_path):
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "comp.json").read_text(encoding="utf-8"))
+    data["left"] = data["steps"][0]["left"] = 5
+    bad = _write(tmp_path, "bad.json", json.dumps(data))
+    assert main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", bad, "--tnew", gen_path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cig: error: {bad}: invalid composition step: invalid component name: 5\n"
 
 
 def test_usage_error_exits_2():

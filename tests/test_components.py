@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cigkit import (
     Component,
     CompositionResult,
+    CompositionStep,
     DisjointnessViolation,
     InvalidIdentifier,
     NotComposable,
@@ -146,6 +148,16 @@ def test_composition_result_describes_its_last_step():
     assert (result.left_name, result.right_name, result.satisfied) == ("A_x_B", "C", {"b"})
     with pytest.raises(ValueError, match="at least one step"):
         CompositionResult(composed=result.composed, steps=())
+
+
+def test_composition_step_operands_must_be_identifiers():
+    with pytest.raises(InvalidIdentifier, match="invalid component name: 5"):
+        CompositionStep(left=5, right="B", satisfied={"a"})
+    result = compose_many([make_component("A", {"a"}, set()), make_component("B", set(), {"a"})])
+    data = json.loads(composition_result_to_json(result))
+    data["left"] = data["steps"][0]["left"] = 5
+    with pytest.raises(SchemaError, match="invalid composition step: invalid component name: 5"):
+        composition_result_from_json(json.dumps(data))
 
 
 def test_compose_many_two_equals_compose():

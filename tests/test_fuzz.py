@@ -1,6 +1,8 @@
 """Seeded, bounded fuzzing of the statechart parser and of the CLI's JSON inputs.
 
-Mutated chart text may raise only ``StatechartError``. Mutated CIG, library
+Mutated chart text may raise only ``StatechartError``, and it parses to the
+same chart, or fails with the same error, message, line and column, as the
+character-walking reference parser in ``oracles.py``. Mutated CIG, library
 and composition documents given to ``cli.run`` must never raise, and every
 run exits 0, 1 or 2.
 """
@@ -11,13 +13,18 @@ import random
 import pytest
 
 from conftest import DISPENSER, VENDING
-from cigkit import StatechartError, parse_statechart
+from cigkit import StatechartError, parse_statechart, serialize_statechart
 from cigkit.cli import run
+from oracles import oracle_parse_statechart, random_chart
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 
 # characters that carry structure in the chart format or in JSON
 _CHART_CHARS = "[[]]()#->,. \n_aX1"
+# plus whitespace the lexical rules treat differently (a tab, a vertical tab that
+# str.splitlines breaks on, a no-break space that is not ASCII whitespace) and
+# more of the characters that start a word, a parameter list or a comment
+_LEXICAL_CHARS = _CHART_CHARS + "\t\x0b\xa0 ()#,"
 _JSON_CHARS = '[]{}",:-.0e1 \\ntruefalsenull'
 _VALUES = (None, True, 0, -1, 2.5, "", "x", "Empty", "setCredit", "1x", [], {}, [1], {"a": 1})
 
@@ -70,17 +77,46 @@ def _mutant(rng: random.Random, text: str) -> str:
     return _mutate_value(rng, text)
 
 
-def test_mutated_chart_text_raises_only_statechart_errors():
+def _fixture_texts() -> list[str]:
+    return [VENDING.read_text(encoding="utf-8"), DISPENSER.read_text(encoding="utf-8")]
+
+
+def _fixture_mutants() -> list[str]:
     rng = random.Random(20101018)
-    texts = [VENDING.read_text(encoding="utf-8"), DISPENSER.read_text(encoding="utf-8")]
-    for _ in range(2000):
-        text = _mutate_text(rng, rng.choice(texts), _CHART_CHARS)
+    texts = _fixture_texts()
+    return [_mutate_text(rng, rng.choice(texts), _CHART_CHARS) for _ in range(2000)]
+
+
+def test_mutated_chart_text_raises_only_statechart_errors():
+    for text in _fixture_mutants():
         try:
             parse_statechart(text)
         except StatechartError:
             pass
         except Exception as exc:  # pragma: no cover - the failure report
             pytest.fail(f"{type(exc).__name__}: {exc} on\n{text}")
+
+
+def _outcome(parse, text: str):
+    """The parsed chart, or the error's class, message, line and column."""
+    try:
+        return parse(text)
+    except StatechartError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+def test_parser_matches_the_character_walking_oracle():
+    rng = random.Random("lexical-20101018")
+    charts = [
+        random_chart(rng, f"C{i}", events=("go", "e1"), actions=("ping", "a1"), max_transitions=6)
+        for i in range(40)
+    ]
+    bases = _fixture_texts() + [serialize_statechart(chart) for chart in charts]
+    texts = _fixture_mutants() + [_mutate_text(rng, rng.choice(bases), _LEXICAL_CHARS) for _ in range(3000)]
+    differences = [
+        text for text in texts if _outcome(parse_statechart, text) != _outcome(oracle_parse_statechart, text)
+    ]
+    assert not differences, f"{len(differences)} of {len(texts)} texts differ, first:\n{differences[0]}"
 
 
 @pytest.fixture(scope="module")

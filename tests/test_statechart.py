@@ -1,3 +1,7 @@
+import random
+import re
+import sys
+
 import pytest
 
 from cigkit import (
@@ -15,6 +19,9 @@ from cigkit import (
     parse_statechart,
     serialize_statechart,
 )
+from cigkit.statechart import _LINE_BREAKS
+
+_ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
 
 
 def test_parse_vending_fixture(vending_chart):
@@ -147,6 +154,38 @@ def test_guard_and_params_round_trip_verbatim():
     assert chart.transitions[0].actions[0].params == ("2..max", "1")
     assert chart.transitions[1].event is None
     assert serialize_statechart(chart) == text
+
+
+def test_regex_whitespace_is_str_isspace():
+    # the parser skips what re's \s matches; the format's whitespace is str.isspace
+    assert re.findall(r"\s", _ALL_CODE_POINTS) == list(filter(str.isspace, _ALL_CODE_POINTS))
+
+
+def test_line_breaks_are_what_splitlines_breaks_on():
+    # code points ascend, so no "\r\n" pair occurs and each line ends in its break
+    breaks = [line[-1] for line in _ALL_CODE_POINTS.splitlines(keepends=True)[:-1]]
+    assert breaks == list(_LINE_BREAKS)
+
+
+def test_api_built_charts_reject_what_the_text_cannot_carry():
+    rng = random.Random(20101018)
+    awkward = [c for c in map(chr, range(0x3001)) if c.isspace()] + list("[]()#,")
+    outcomes = set()
+    for _ in range(2000):
+        text = rng.choice(("x>0", " padded ", "", "2..max", "1"))
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(awkward) + text[i:]
+        guard, params = (text, ("1",)) if rng.random() < 0.5 else (None, (text, "2..max"))
+        try:
+            action = ActionEmission(action="ping", params=params)
+            transition = Transition(source="X", target="Y", event="go", guard=guard, actions=(action,))
+        except ValueError:
+            outcomes.add("rejected")
+            continue
+        chart = Statechart(component_name="A", states=("X", "Y"), initial="X", transitions=(transition,))
+        assert parse_statechart(serialize_statechart(chart)) == chart, repr(text)
+        outcomes.add("round trip")
+    assert outcomes == {"rejected", "round trip"}
 
 
 def test_serialize_fixture_is_canonical(vending_chart):
