@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,11 +25,10 @@ from .components import compose_many
 from .documents import (
     cig_from_json,
     cig_to_json,
-    composed_result_to_json,
     composition_result_from_json,
     composition_result_to_json,
+    library_chunks,
     library_from_json,
-    library_to_json,
 )
 from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
 from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
@@ -35,6 +36,8 @@ from .testlib import compose_libraries, generate_new_tests
 
 # Domain errors exit 1; every other CigError is unreadable or malformed input.
 _DOMAIN_ERRORS = (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)
+
+_BATCH = 1 << 16  # characters per write: each write to unbuffered stdout is a system call
 
 
 @dataclass
@@ -79,23 +82,32 @@ def _chart_set(paths: list[str]) -> ChartSet:
     return ChartSet(tuple(_load(path, parse_statechart) for path in paths))
 
 
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CigError(str(exc)) from None
+def _emit(chunks: Iterable[str], out: str | None):
+    """Write ``chunks`` as they come to ``out``, or stdout when None, ``_BATCH`` at a time."""
+    try:
+        target = contextlib.nullcontext(sys.stdout) if out is None else Path(out).open("w", encoding="utf-8")
+        with target as stream:
+            batch, size = [], 0
+            for chunk in chunks:
+                batch.append(chunk)
+                if (size := size + len(chunk)) >= _BATCH:
+                    stream.write("".join(batch))
+                    batch, size = [], 0
+            stream.write("".join(batch))
+            stream.flush()
+    except OSError as exc:
+        raise CigError(str(exc) if out is not None else f"standard output: {exc}") from None
 
 
 def cmd_parse(args, report: RunReport):
     report.inputs = list(args.files)
     for path in args.files:
         try:
-            sys.stdout.write(serialize_statechart(_load(path, parse_statechart)))
+            chart = _load(path, parse_statechart)
         except CigError as exc:
             _fail(report, exc)
+        else:  # a failed write is no fault of this file: it ends the command
+            _emit([serialize_statechart(chart)], None)
 
 
 def cmd_compose(args, report: RunReport):
@@ -106,7 +118,7 @@ def cmd_compose(args, report: RunReport):
     for path, chart in zip(args.files, _chart_set(args.files)):
         with _about(path):
             components.append(extract_interfaces(chart))
-    _emit(composition_result_to_json(compose_many(components)), args.out)
+    _emit([composition_result_to_json(compose_many(components))], args.out)
 
 
 def cmd_cig(args, report: RunReport):
@@ -117,8 +129,7 @@ def cmd_cig(args, report: RunReport):
     cig = build_cig(charts)
     if args.report:
         sys.stderr.write(_classification_table(charts, cig))
-    text = cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)
-    _emit(text, args.out)
+    _emit([cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)], args.out)
 
 
 def _classification_table(charts: ChartSet, cig: Cig) -> str:
@@ -142,7 +153,7 @@ def cmd_tests_gen(args, report: RunReport):
     cig = _load(args.cig_path, cig_from_json)
     charts = _chart_set(args.files)
     library = generate_new_tests(cig, charts, warn=lambda m: _warn(report, m))
-    _emit(library_to_json(library), args.out)
+    _emit(library_chunks(library), args.out)
 
 
 def cmd_tests_compose(args, report: RunReport):
@@ -152,7 +163,7 @@ def cmd_tests_compose(args, report: RunReport):
     tnew = _load(args.tnew, library_from_json)
     composition = _load(args.composition, composition_result_from_json)
     result = compose_libraries(t1, t2, composition.all_satisfied(), tnew)
-    _emit(composed_result_to_json(result), args.out)
+    _emit(library_chunks(result), args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,4 +227,9 @@ def run(argv=None) -> RunReport:
 
 
 def main(argv=None) -> int:
-    return run(argv).exit_code
+    code = run(argv).exit_code
+    try:
+        sys.stdout.flush()
+    except OSError:  # stdout is closed: send what the exit flush finds nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code

@@ -9,6 +9,7 @@ a ``SchemaError``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 from .cig import _KIND_ORDER, Cig, CigEdge, CigNode, StateRef
 from .components import Component, CompositionResult, CompositionStep, _service_set
@@ -17,6 +18,8 @@ from .testlib import ComposedLibraryResult, Origin, TestCase, TestLibrary, TestS
 
 # Every string goes through the escaper json.dumps itself uses.
 _quote = json.encoder.encode_basestring_ascii
+
+_RESULT_KEYS = ("retained", "removed", "generated", "final")
 
 
 def _loads(text: str) -> object:
@@ -215,22 +218,24 @@ def cig_from_json(text: str) -> Cig:
         raise SchemaError(f"invalid CIG document: {exc}") from None
 
 
-def _case_text(case: TestCase, pad: str) -> str:
-    """The case object opened on a line indented by ``pad``."""
+def _case_text(case: TestCase, pad: str, texts: dict[int, str]) -> str:
+    """The case object opened on a line indented by ``pad``; ``texts`` maps ``id(step)`` to its text."""
     p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
     steps = []
     for step in case.steps:
-        state = ""
-        if step.expected_state is not None:
-            component, name = map(_quote, step.expected_state)
-            state = (
-                f'"expected_state": {{\n{p3}  "component": {component},\n'
-                f'{p3}  "state": {name}\n{p3}}},\n{p3}'
+        if id(step) not in texts:
+            state = ""
+            if step.expected_state is not None:
+                component, name = map(_quote, step.expected_state)
+                state = (
+                    f'"expected_state": {{\n{p3}  "component": {component},\n'
+                    f'{p3}  "state": {name}\n{p3}}},\n{p3}'
+                )
+            texts[id(step)] = (
+                f'{{\n{p3}"event": {_quote(step.event)},\n{p3}{state}"expected_actions": '
+                f"{_array([_quote(a) for a in step.expected_actions], p3)}\n{p2}}}"
             )
-        steps.append(
-            f'{{\n{p3}"event": {_quote(step.event)},\n{p3}{state}"expected_actions": '
-            f"{_array([_quote(a) for a in step.expected_actions], p3)}\n{p2}}}"
-        )
+        steps.append(texts[id(step)])
     return (
         f'{{\n{p1}"id": {_quote(case.id)},\n{p1}"owner": {_quote(case.owner)},\n'
         f'{p1}"origin": {_quote(case.origin.value)},\n'
@@ -239,18 +244,27 @@ def _case_text(case: TestCase, pad: str) -> str:
     )
 
 
-def _library_text(library: TestLibrary, pad: str, memo: dict[int, str]) -> str:
-    """The library object opened on a line indented by ``pad``. ``memo`` maps
-    ``id(case)`` to text written at this ``pad``, so a case object held twice
-    is written once (not keyed by case id: a loaded document may reuse one)."""
-    for case in library.cases:
-        if id(case) not in memo:
-            memo[id(case)] = _case_text(case, pad + "    ")
-    texts = [memo[id(case)] for case in library.cases]
-    return f'{{\n{pad}  "cases": {_array(texts, pad + "  ")}\n{pad}}}'
+def library_chunks(document: TestLibrary | ComposedLibraryResult) -> Iterator[str]:
+    """A test library or composed library result document, one case or less
+    per chunk. A case or step object held twice is written once: the memo is
+    keyed by ``id()``, not by case id, which a loaded document may reuse."""
+    nested = isinstance(document, ComposedLibraryResult)
+    pad = "  " if nested else ""
+    parts = [(key, getattr(document, key)) for key in _RESULT_KEYS] if nested else [(None, document)]
+    texts: dict[int, str] = {}
+    for i, (key, library) in enumerate(parts):
+        if key is not None:
+            yield f'{"," if i else "{"}\n  "{key}": '
+        yield f'{{\n{pad}  "cases": ['
+        for j, case in enumerate(library.cases):
+            if id(case) not in texts:
+                texts[id(case)] = _case_text(case, pad + "    ", texts)
+            yield f'{"," if j else ""}\n{pad}    {texts[id(case)]}'
+        yield (f"\n{pad}  ]" if library.cases else "]") + f"\n{pad}}}"
+    yield "\n}\n" if pad else "\n"
 
 
-def _step_from_dict(data: object) -> TestStep:
+def _step_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestStep:
     if not isinstance(data, dict) or "event" not in data:
         raise SchemaError("test step must be an object with an 'event'")
     expected_state = None
@@ -262,17 +276,19 @@ def _step_from_dict(data: object) -> TestStep:
     actions = data.get("expected_actions", [])
     if not isinstance(actions, list):
         raise SchemaError("'expected_actions' must be an array")
+    # Equal str fields validate to equal steps; others (lists, 1 == True) skip the memo.
+    fields = (data["event"], *(expected_state or ()), *actions)
+    key = (expected_state is None, *fields) if all(type(f) is str for f in fields) else None
+    if key in memo:
+        return memo[key]
     try:
-        return TestStep(
-            event=data["event"],
-            expected_state=expected_state,
-            expected_actions=tuple(actions),
-        )
+        step = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid test step: {exc}") from None
+    return step if key is None else memo.setdefault(key, step)
 
 
-def _case_from_dict(data: object) -> TestCase:
+def _case_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestCase:
     if not isinstance(data, dict):
         raise SchemaError("test case must be a JSON object")
     for key in ("id", "owner", "services", "steps"):
@@ -290,7 +306,7 @@ def _case_from_dict(data: object) -> TestCase:
             id=data["id"],
             owner=data["owner"],
             services=frozenset(data["services"]),
-            steps=tuple(_step_from_dict(s) for s in data["steps"]),
+            steps=tuple(_step_from_dict(s, memo) for s in data["steps"]),
             origin=origin,
         )
     except (TypeError, ValueError) as exc:
@@ -302,11 +318,12 @@ def library_from_dict(data: object) -> TestLibrary:
         raise SchemaError("test library must be an object with a 'cases' array")
     if not isinstance(data["cases"], list):
         raise SchemaError("'cases' must be an array")
-    return TestLibrary(tuple(_case_from_dict(c) for c in data["cases"]))
+    memo: dict[tuple, TestStep] = {}
+    return TestLibrary(tuple(_case_from_dict(c, memo) for c in data["cases"]))
 
 
 def library_to_json(library: TestLibrary) -> str:
-    return _library_text(library, "", {}) + "\n"
+    return "".join(library_chunks(library))
 
 
 def library_from_json(text: str) -> TestLibrary:
@@ -314,10 +331,7 @@ def library_from_json(text: str) -> TestLibrary:
 
 
 def composed_result_to_json(result: ComposedLibraryResult) -> str:
-    memo: dict[int, str] = {}
-    keys = ("retained", "removed", "generated", "final")
-    parts = [f'"{key}": {_library_text(getattr(result, key), "  ", memo)}' for key in keys]
-    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return "".join(library_chunks(result))
 
 
 def composed_result_from_json(text: str) -> ComposedLibraryResult:
@@ -325,7 +339,7 @@ def composed_result_from_json(text: str) -> ComposedLibraryResult:
     if not isinstance(data, dict):
         raise SchemaError("composed library result must be a JSON object")
     parts = {}
-    for key in ("retained", "removed", "generated", "final"):
+    for key in _RESULT_KEYS:
         if key not in data:
             raise SchemaError(f"composed library result is missing key {key!r}")
         parts[key] = library_from_dict(data[key])

@@ -4,7 +4,8 @@ Everything here is written directly against the definitions, separately from
 the package code, so the two can check each other. The composition oracle
 works on plain sets; the replay walker explores every nondeterministic
 execution of a statechart instead of trusting the generator's path choice;
-the reference parser walks each line character by character.
+the reference parser walks each line character by character; the reference
+library reader validates and builds every raw step anew.
 """
 
 import heapq
@@ -17,8 +18,13 @@ from cigkit import (
     DuplicateComponent,
     DuplicateState,
     MissingInitial,
+    Origin,
     ParseError,
+    SchemaError,
     Statechart,
+    TestCase,
+    TestLibrary,
+    TestStep,
     Transition,
     UnknownState,
     UnreachableProvider,
@@ -256,8 +262,6 @@ def random_chart_set(rng, count):
 
 def random_library(rng, prefix, universe, max_cases=8):
     """Raw case dicts for a random authored library (unique prefixed ids)."""
-    from cigkit import Origin, TestCase, TestStep
-
     cases = []
     for i in range(rng.randint(0, max_cases)):
         services = rng.sample(list(universe), rng.randint(0, min(3, len(universe))))
@@ -311,6 +315,67 @@ def oracle_composed_json(result):
         for key in ("retained", "removed", "generated", "final")
     }
     return json.dumps(parts, indent=2) + "\n"
+
+
+def _oracle_step_from_dict(data):
+    if not isinstance(data, dict) or "event" not in data:
+        raise SchemaError("test step must be an object with an 'event'")
+    expected_state = None
+    if "expected_state" in data:
+        ref = data["expected_state"]
+        if not isinstance(ref, dict) or not {"component", "state"} <= ref.keys():
+            raise SchemaError("'expected_state' must have 'component' and 'state'")
+        expected_state = (ref["component"], ref["state"])
+    actions = data.get("expected_actions", [])
+    if not isinstance(actions, list):
+        raise SchemaError("'expected_actions' must be an array")
+    try:
+        return TestStep(
+            event=data["event"],
+            expected_state=expected_state,
+            expected_actions=tuple(actions),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid test step: {exc}") from None
+
+
+def _oracle_case_from_dict(data):
+    if not isinstance(data, dict):
+        raise SchemaError("test case must be a JSON object")
+    for key in ("id", "owner", "services", "steps"):
+        if key not in data:
+            raise SchemaError(f"test case is missing key {key!r}")
+    origin_code = data.get("origin", Origin.LIBRARY.value)
+    try:
+        origin = Origin(origin_code)
+    except ValueError:
+        raise SchemaError(f"unknown origin {origin_code!r}") from None
+    if not isinstance(data["services"], list) or not isinstance(data["steps"], list):
+        raise SchemaError("test case 'services' and 'steps' must be arrays")
+    try:
+        return TestCase(
+            id=data["id"],
+            owner=data["owner"],
+            services=frozenset(data["services"]),
+            steps=tuple(_oracle_step_from_dict(s) for s in data["steps"]),
+            origin=origin,
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"invalid test case: {exc}") from None
+
+
+def oracle_library_from_json(text):
+    """The library reader without a step memo: each raw step is checked and
+    built on its own, so equal steps are equal but separate objects."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict) or "cases" not in data:
+        raise SchemaError("test library must be an object with a 'cases' array")
+    if not isinstance(data["cases"], list):
+        raise SchemaError("'cases' must be an array")
+    return TestLibrary(tuple(_oracle_case_from_dict(c) for c in data["cases"]))
 
 
 def _oracle_ref_dict(ref):

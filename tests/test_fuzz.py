@@ -2,9 +2,11 @@
 
 Mutated chart text may raise only ``StatechartError``, and it parses to the
 same chart, or fails with the same error, message, line and column, as the
-character-walking reference parser in ``oracles.py``. Mutated CIG, library
-and composition documents given to ``cli.run`` must never raise, and every
-run exits 0, 1 or 2.
+character-walking reference parser in ``oracles.py``. Mutated library
+documents load to the same library, or fail with the same error and message,
+as the reference reader without a step memo. Mutated CIG, library and
+composition documents given to ``cli.run`` must never raise, and every run
+exits 0, 1 or 2.
 """
 
 import json
@@ -13,9 +15,9 @@ import random
 import pytest
 
 from conftest import DISPENSER, VENDING
-from cigkit import StatechartError, parse_statechart, serialize_statechart
+from cigkit import StatechartError, library_from_json, parse_statechart, serialize_statechart
 from cigkit.cli import run
-from oracles import oracle_parse_statechart, random_chart
+from oracles import oracle_library_from_json, oracle_parse_statechart, random_chart
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 
@@ -117,6 +119,88 @@ def test_parser_matches_the_character_walking_oracle():
         text for text in texts if _outcome(parse_statechart, text) != _outcome(oracle_parse_statechart, text)
     ]
     assert not differences, f"{len(differences)} of {len(texts)} texts differ, first:\n{differences[0]}"
+
+
+# Valid raw steps, some equal after validation (no actions, an empty action
+# list, extra keys) and some whose fields would run together if a key
+# flattened them (two actions against a landing state).
+_STEPS = (
+    {"event": "go"},
+    {"event": "go", "expected_actions": []},
+    {"event": "go", "note": [1], "expected_actions": []},
+    {"event": "go", "expected_actions": ["A", "s"]},
+    {"event": "go", "expected_state": {"component": "A", "state": "s"}},
+    {"event": "go", "expected_state": {"state": "s", "component": "A", "x": None}},
+    {"event": "go", "expected_state": {"component": "A", "state": "s"}, "expected_actions": ["ok"]},
+    {"event": "ok", "expected_actions": ["go", "go"]},
+)
+# Raw steps the reader rejects, with values a step memo must not key on.
+_BAD_STEPS = (
+    {"event": 5},
+    {"event": True},
+    {"event": 1},
+    {"event": "1x"},
+    {"event": "go", "expected_state": None},
+    {"event": "go", "expected_state": {"component": "", "state": ""}},
+    {"event": "go", "expected_state": {"component": True, "state": "s"}},
+    {"event": "go", "expected_state": {"component": 1, "state": "s"}},
+    {"event": "go", "expected_actions": [["ok"]]},
+    {"event": "go", "expected_actions": [{"a": 1}]},
+    {"event": "go", "expected_actions": [True]},
+    {"event": "go", "expected_actions": [1]},
+    {"event": "go", "expected_actions": "ok"},
+)
+
+
+def _library_text(rng: random.Random, cases: int, bad: float) -> str:
+    """A library document whose cases repeat steps from ``_STEPS``; with
+    probability ``bad`` one step is replaced by one of ``_BAD_STEPS``."""
+    document = {
+        "cases": [
+            {
+                "id": f"c{i}",
+                "owner": "A",
+                "services": rng.sample(["go", "ok", "s"], rng.randint(0, 2)),
+                "steps": [rng.choice(_STEPS) for _ in range(rng.randint(0, 4))],
+            }
+            for i in range(cases)
+        ]
+    }
+    if rng.random() < bad:
+        steps = rng.choice(document["cases"])["steps"]
+        steps.insert(rng.randint(0, len(steps)), rng.choice(_BAD_STEPS))
+    return json.dumps(document)
+
+
+def _library_outcome(read, text: str):
+    """The loaded library, or the error's class and message."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_library_reader_matches_the_per_step_oracle():
+    rng = random.Random("step-memo-20101018")
+    texts = [_library_text(rng, rng.randint(1, 12), bad=0.4) for _ in range(1500)]
+    texts += [_mutant(rng, _library_text(rng, rng.randint(1, 6), bad=0.0)) for _ in range(2500)]
+    outcomes = [
+        (_library_outcome(library_from_json, text), _library_outcome(oracle_library_from_json, text))
+        for text in texts
+    ]
+    differences = [text for text, (got, want) in zip(texts, outcomes) if got != want]
+    assert not differences, f"{len(differences)} of {len(texts)} documents differ, first:\n{differences[0]}"
+    loaded = sum(not isinstance(got, tuple) for got, _ in outcomes)
+    assert loaded > 1000 and len(texts) - loaded > 1000  # both loads and errors are compared
+
+
+def test_equal_steps_are_one_object_within_a_load_and_never_across_loads():
+    text = _library_text(random.Random("memo-scope"), 80, bad=0.0)
+    first, second = library_from_json(text), library_from_json(text)
+    assert first == second == oracle_library_from_json(text)
+    steps = [step for case in first for step in case.steps]
+    assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)
+    assert not {id(step) for step in steps} & {id(step) for case in second for step in case.steps}
 
 
 @pytest.fixture(scope="module")

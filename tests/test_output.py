@@ -1,0 +1,184 @@
+"""How commands write their results: in batches, the same bytes to stdout and
+to ``--out``, nothing when they fail first, one error line when stdout is
+closed, and never the whole composed library held in memory several times."""
+
+import io
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+import cigkit
+import cigkit.cli as cli
+from cigkit import (
+    Origin,
+    TestCase,
+    TestLibrary,
+    TestStep,
+    compose_libraries,
+    composed_result_to_json,
+    composition_result_from_json,
+    library_from_json,
+    library_to_json,
+)
+from cigkit.cli import run
+from cigkit.documents import library_chunks
+from conftest import DISPENSER, VENDING
+from oracles import oracle_composed_json, oracle_library_json
+
+FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
+SRC = Path(cigkit.__file__).resolve().parent.parent
+
+
+def _library(rng, prefix, owner, states, count):
+    """Authored cases like the benchmark's: two services and three steps
+    each, drawn from few values, so steps repeat across cases."""
+    services = ("setCredit", "ok", "insert", "vend", "cancel", "returnCoins")
+    return TestLibrary(
+        tuple(
+            TestCase(
+                id=f"{prefix}_{i:05d}",
+                owner=owner,
+                services=frozenset(rng.sample(services, 2)),
+                steps=tuple(
+                    TestStep(rng.choice(services), (owner, rng.choice(states)), (rng.choice(services),))
+                    for _ in range(3)
+                ),
+                origin=Origin.LIBRARY,
+            )
+            for i in range(count)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, vending_chart, dispenser_chart):
+    """The fixtures' composition, CIG and generated library as the CLI writes
+    them, and two authored libraries of 800 cases each."""
+    work = tmp_path_factory.mktemp("output")
+    paths = {name: work / f"{name}.json" for name in ("cig", "comp", "gen", "t1", "t2")}
+    assert run(["cig", *FIXTURE_ARGS, "--out", str(paths["cig"])]).exit_code == 0
+    assert run(["compose", *FIXTURE_ARGS, "--out", str(paths["comp"])]).exit_code == 0
+    assert run(["tests", "gen", "--cig", str(paths["cig"]), *FIXTURE_ARGS, "--out", str(paths["gen"])]).exit_code == 0
+    rng = random.Random(20101018)
+    for name, chart in (("t1", vending_chart), ("t2", dispenser_chart)):
+        library = _library(rng, name, chart.component_name, chart.states, 800)
+        paths[name].write_text(library_to_json(library), encoding="utf-8")
+    return paths
+
+
+def _argv(inputs, command):
+    if command == "gen":
+        return ["tests", "gen", "--cig", str(inputs["cig"]), *FIXTURE_ARGS]
+    return ["tests", "compose", "--t1", str(inputs["t1"]), "--t2", str(inputs["t2"]),
+            "--composition", str(inputs["comp"]), "--tnew", str(inputs["gen"])]
+
+
+def _expected(inputs, command):
+    """The document the command writes, from the package's own calls, and as
+    the ``json.dumps`` oracle writes it."""
+    if command == "gen":
+        library = library_from_json(inputs["gen"].read_text(encoding="utf-8"))
+        return library, library_to_json(library), oracle_library_json(library)
+    t1, t2, tnew = (library_from_json(inputs[n].read_text(encoding="utf-8")) for n in ("t1", "t2", "gen"))
+    composition = composition_result_from_json(inputs["comp"].read_text(encoding="utf-8"))
+    result = compose_libraries(t1, t2, composition.all_satisfied(), tnew)
+    return result, composed_result_to_json(result), oracle_composed_json(result)
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps the size of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+# The fixtures' generated library is small, so ``tests gen`` also runs with
+# a batch far below one library; the composed library spans ~40 real batches.
+@pytest.mark.parametrize("command, batch", [("gen", 300), ("compose", 300), ("compose", cli._BATCH)])
+def test_stdout_and_out_file_get_the_same_bytes_in_bounded_writes(monkeypatch, tmp_path, inputs, command, batch):
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    document, text, oracle_text = _expected(inputs, command)
+    assert text == oracle_text and len(text) > 2 * batch
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(_argv(inputs, command)).exit_code == 0
+    out = tmp_path / "out.json"
+    assert run([*_argv(inputs, command), "--out", str(out)]).exit_code == 0
+    monkeypatch.undo()
+    assert stdout.getvalue() == out.read_text(encoding="utf-8") == text
+    largest_chunk = max(len(chunk) for chunk in library_chunks(document))
+    assert max(stdout.sizes) < batch + largest_chunk
+    assert len(stdout.sizes) <= -(-len(text) // batch)  # every write but the last fills a batch
+
+
+@pytest.mark.parametrize(
+    "command, broken, message",
+    [
+        ("gen", "cig", "invalid JSON"),
+        ("compose", "t1", "invalid JSON"),
+        ("compose", "comp", "composition result must be a JSON object"),
+    ],
+)
+def test_a_command_that_fails_before_writing_writes_nothing(capsys, tmp_path, inputs, command, broken, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" if message == "invalid JSON" else "[]", encoding="utf-8")
+    argv = [str(bad) if arg == str(inputs[broken]) else arg for arg in _argv(inputs, command)]
+    out = tmp_path / "out.json"
+    assert run(argv).exit_code == 2
+    assert run([*argv, "--out", str(out)]).exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(message) == 2
+    assert not out.exists()
+
+
+def test_an_out_path_that_is_a_directory_exits_2(capsys, tmp_path, inputs):
+    assert run([*_argv(inputs, "compose"), "--out", str(tmp_path)]).exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cig: error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["parse", "cig", "compose"])
+def test_a_closed_stdout_is_one_error_line_and_exit_2(inputs, command, unbuffered):
+    argv = {
+        "parse": ["parse", *FIXTURE_ARGS],
+        "cig": ["cig", *FIXTURE_ARGS, "--format", "dot"],
+        "compose": _argv(inputs, "compose"),
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so its first write fails
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "cigkit", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert child.stderr.decode() == "cig: error: standard output: [Errno 32] Broken pipe\n"
+    assert child.returncode == 2
+
+
+def test_tests_compose_holds_less_than_its_output_in_memory(tmp_path, inputs):
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        report = run([*_argv(inputs, "compose"), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.exit_code == 0
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert peak < 2.5 * size, f"peak {peak / size:.2f} x the {size} output bytes"
