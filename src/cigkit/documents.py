@@ -29,8 +29,18 @@ def _loads(text: str) -> object:
     ``RecursionError`` on deeply nested arrays or objects and ``ValueError``
     on an integer literal longer than the interpreter's digit limit.
     """
+    shared: dict[tuple, dict] = {}  # the first dict of each key, which keeps alive the dicts whose ids it holds
+    def share(obj: dict) -> dict:
+        key: list = [*obj]  # the names in order, then the values, type-exact: 1, true and "1" never merge
+        for value in obj.values():
+            if type(value) is list and all(type(v) is str for v in value):
+                value = tuple(value)
+            elif type(value) not in (str, dict):
+                return obj
+            key.append(id(value) if type(value) is dict else value)
+        return shared.setdefault(tuple(key), obj)
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=share)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
@@ -246,25 +256,27 @@ def _case_text(case: TestCase, pad: str, texts: dict[int, str]) -> str:
 
 def library_chunks(document: TestLibrary | ComposedLibraryResult) -> Iterator[str]:
     """A test library or composed library result document, one case or less
-    per chunk. A case or step object held twice is written once: the memo is
-    keyed by ``id()``, not by case id, which a loaded document may reuse."""
+    per chunk. Steps held twice are written once, and so are cases two parts hold,
+    keyed by ``id()`` (a loaded document may reuse case ids) till their last part."""
     nested = isinstance(document, ComposedLibraryResult)
     pad = "  " if nested else ""
     parts = [(key, getattr(document, key)) for key in _RESULT_KEYS] if nested else [(None, document)]
+    last = {id(case): i for i, (_, library) in enumerate(parts) for case in library.cases}
     texts: dict[int, str] = {}
     for i, (key, library) in enumerate(parts):
         if key is not None:
             yield f'{"," if i else "{"}\n  "{key}": '
         yield f'{{\n{pad}  "cases": ['
         for j, case in enumerate(library.cases):
-            if id(case) not in texts:
-                texts[id(case)] = _case_text(case, pad + "    ", texts)
-            yield f'{"," if j else ""}\n{pad}    {texts[id(case)]}'
+            text = texts.pop(id(case), None) or _case_text(case, pad + "    ", texts)
+            if last[id(case)] > i:
+                texts[id(case)] = text
+            yield f'{"," if j else ""}\n{pad}    {text}'
         yield (f"\n{pad}  ]" if library.cases else "]") + f"\n{pad}}}"
     yield "\n}\n" if pad else "\n"
 
 
-def _step_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestStep:
+def _step_from_dict(data: object, memo: dict[object, TestStep]) -> TestStep:
     if not isinstance(data, dict) or "event" not in data:
         raise SchemaError("test step must be an object with an 'event'")
     expected_state = None
@@ -276,19 +288,15 @@ def _step_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestStep:
     actions = data.get("expected_actions", [])
     if not isinstance(actions, list):
         raise SchemaError("'expected_actions' must be an array")
-    # Equal str fields validate to equal steps; others (lists, 1 == True) skip the memo.
-    fields = (data["event"], *(expected_state or ()), *actions)
-    key = (expected_state is None, *fields) if all(type(f) is str for f in fields) else None
-    if key in memo:
-        return memo[key]
     try:
         step = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid test step: {exc}") from None
-    return step if key is None else memo.setdefault(key, step)
+    # one object per equal step, also under the raw dict's id, which the raw tree keeps unique
+    return memo.setdefault(id(data), memo.setdefault(step, step))
 
 
-def _case_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestCase:
+def _case_from_dict(data: object, memo: dict[object, TestStep]) -> TestCase:
     if not isinstance(data, dict):
         raise SchemaError("test case must be a JSON object")
     for key in ("id", "owner", "services", "steps"):
@@ -306,7 +314,7 @@ def _case_from_dict(data: object, memo: dict[tuple, TestStep]) -> TestCase:
             id=data["id"],
             owner=data["owner"],
             services=frozenset(data["services"]),
-            steps=tuple(_step_from_dict(s, memo) for s in data["steps"]),
+            steps=tuple(memo.get(id(s)) or _step_from_dict(s, memo) for s in data["steps"]),
             origin=origin,
         )
     except (TypeError, ValueError) as exc:
@@ -318,20 +326,19 @@ def library_from_dict(data: object) -> TestLibrary:
         raise SchemaError("test library must be an object with a 'cases' array")
     if not isinstance(data["cases"], list):
         raise SchemaError("'cases' must be an array")
-    memo: dict[tuple, TestStep] = {}
+    memo: dict[object, TestStep] = {}
     return TestLibrary(tuple(_case_from_dict(c, memo) for c in data["cases"]))
 
 
-def library_to_json(library: TestLibrary) -> str:
-    return "".join(library_chunks(library))
+def library_to_json(document: TestLibrary | ComposedLibraryResult) -> str:
+    return "".join(library_chunks(document))
+
+
+composed_result_to_json = library_to_json
 
 
 def library_from_json(text: str) -> TestLibrary:
     return library_from_dict(_loads(text))
-
-
-def composed_result_to_json(result: ComposedLibraryResult) -> str:
-    return "".join(library_chunks(result))
 
 
 def composed_result_from_json(text: str) -> ComposedLibraryResult:

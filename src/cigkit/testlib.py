@@ -229,17 +229,17 @@ def generate_new_tests(
     providing state along the cheapest event path, then fires the trigger of
     that state's emitting transition and expects the edge's service among the
     emitted actions. The expected landing state on the accepting side is
-    recorded only when it is unambiguous; ``warn`` hears about omissions.
-    An edge the charts no longer support (a CIG built from other charts) is a
-    SchemaError: no transition accepts its service, or it fails as
-    UnreachableProvider and the charts build another CIG or none.
+    recorded only when it is unambiguous; ``warn`` hears about omissions once
+    the CIG is known to match. A CIG its charts do not build (edges, nodes and
+    removed states compared as sets) is a SchemaError, at the first edge no
+    transition accepts or after the last; an UnreachableProvider is then its reason.
     """
     for component in cig.components:
         if component not in charts.names:
             raise SchemaError(f"CIG references component {component!r} with no statechart")
     paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
     setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
-    cases = []
+    cases, failure, held = [], None, []
     try:
         for edge in cig.edges:
             emitter_chart = charts.get(edge.source[0])
@@ -250,7 +250,7 @@ def generate_new_tests(
                         f"CIG references state {state!r} missing from {chart.component_name!r}"
                     )
             case_id = _GENERATED_PREFIX + "_".join((*edge.source, str(edge.service), *edge.target))
-            final = _final_step(case_id, edge, emitter_chart, acceptor_chart, warn)
+            final = _final_step(case_id, edge, emitter_chart, acceptor_chart, held.append)
             setup = setup_by_source.get(edge.source)
             if setup is None:
                 component, state = edge.source
@@ -273,13 +273,17 @@ def generate_new_tests(
                 )
             )
     except UnreachableProvider as exc:
-        try:
-            rebuilt = build_cig(charts)
-        except CigError as error:
-            raise SchemaError(f"CIG does not match its statecharts: {error}") from None
-        if rebuilt != cig:
-            raise SchemaError(f"CIG does not match its statecharts: {exc}") from None
-        raise
+        failure = exc
+    try:  # from the charts the CIG names; fewer than two is a ValueError
+        rebuilt = build_cig(ChartSet(tuple(c for c in charts if c.component_name in cig.components)))
+    except (CigError, ValueError) as error:
+        raise SchemaError(f"CIG does not match its statecharts: {error}") from None
+    if any(set(getattr(rebuilt, f)) != set(getattr(cig, f)) for f in ("removed", "nodes", "edges")):
+        raise SchemaError(f"CIG does not match its statecharts: {failure or 'they build another CIG'}") from None
+    for message in held if warn is not None else ():
+        warn(message)
+    if failure is not None:
+        raise failure
     cases.sort(key=lambda c: c.id)
     return TestLibrary(tuple(cases))
 
@@ -289,7 +293,7 @@ def _final_step(
     edge: CigEdge,
     emitter_chart: Statechart,
     acceptor_chart: Statechart,
-    warn: Callable[[str], None] | None,
+    warn: Callable[[str], None],
 ) -> TestStep:
     source_state = edge.source[1]
     emitting = [
@@ -315,11 +319,10 @@ def _final_step(
         expected_state = (acceptor_chart.component_name, accepting[0].target)
     else:
         expected_state = None
-        if warn is not None:
-            warn(
-                f"{case_id}: expected state omitted, {len(accepting)} transitions "
-                f"accept {edge.service!r} in state {edge.target[1]!r}"
-            )
+        warn(
+            f"{case_id}: expected state omitted, {len(accepting)} transitions "
+            f"accept {edge.service!r} in state {edge.target[1]!r}"
+        )
     return TestStep(
         event=trigger.event,
         expected_state=expected_state,

@@ -1,11 +1,16 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from conftest import DISPENSER, VENDING
 from cigkit import (
+    ChartSet,
+    CigError,
     DuplicateTestId,
     build_cig,
+    cig_from_json,
     cig_to_dot,
     cig_to_json,
     compose_many,
@@ -19,6 +24,7 @@ from cigkit import (
 import cigkit.cig
 import cigkit.cli as cli
 from cigkit.cli import main, run
+from oracles import random_chart_set
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 
@@ -477,6 +483,48 @@ def test_tests_gen_rejects_an_edge_nothing_emits_any_more(capsys, tmp_path):
     )
 
 
+def test_tests_gen_rejects_a_cig_missing_edges_the_charts_build(capsys, tmp_path):
+    # the dispenser learned to answer setCredit with ok from Insufficient after
+    # the CIG was built: every old edge still generates, but three are missing
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    text = DISPENSER.read_text(encoding="utf-8").replace(
+        "on dispense do ok\n", "on dispense do ok\ntransition Insufficient -> Enabled on setCredit do ok\n"
+    )
+    grown = _write(tmp_path, "dispenser.sc", text)
+    assert main(["cig", str(VENDING), grown]) == 0
+    assert len(json.loads(capsys.readouterr().out)["edges"]) == 8
+    out = tmp_path / "gen.json"
+    assert main(["tests", "gen", "--cig", cig_path, str(VENDING), grown, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the warnings for cases of the rejected CIG are never heard
+    assert captured.err == "cig: error: CIG does not match its statecharts: they build another CIG\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("components", [["Dispenser"], []])
+def test_tests_gen_rejects_a_cig_fewer_than_two_charts_build(capsys, tmp_path, components):
+    empty = {"components": components, "removed": [], "nodes": [], "edges": []}
+    cig_path = _write(tmp_path, "cig.json", json.dumps(empty))
+    assert main(["tests", "gen", "--cig", cig_path, str(DISPENSER)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cig: error: CIG does not match its statecharts: need at least two statecharts\n"
+
+
+def test_tests_gen_ignores_charts_the_cig_does_not_name(capsys, tmp_path):
+    # an extra chart, even one that would add edges, leaves the cases as they were
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    assert main(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS]) == 0
+    expected = capsys.readouterr()
+    text = DISPENSER.read_text(encoding="utf-8").replace("component Dispenser", "component Twin")
+    twin = _write(tmp_path, "twin.sc", text)
+    assert main(["tests", "gen", "--cig", cig_path, twin, *FIXTURE_ARGS]) == 0
+    assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("ref", [{"component": 5, "state": "Idle"}, {"component": "A", "state": None}])
 def test_tests_compose_rejects_an_expected_state_that_is_no_name(capsys, tmp_path, ref):
     t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
@@ -487,3 +535,77 @@ def test_tests_compose_rejects_an_expected_state_that_is_no_name(capsys, tmp_pat
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"cig: error: {bad}: invalid test step: invalid ") and out.err.count("\n") == 1
+
+
+def _cig_mutants(rng, data):
+    """The CIG document with one edge deleted, one edge added, one edge
+    rewired (its source, target or service changed), and its edges, nodes and
+    removed refs reordered, as hand edits or other tools would."""
+    nodes = [(node["component"], node["state"]) for node in data["nodes"]]
+    services = sorted({edge["service"] for edge in data["edges"]})
+    edges = data["edges"]
+
+    def ref(node):
+        return {"component": node[0], "state": node[1]}
+
+    i, j = rng.randrange(len(edges)), rng.randrange(len(edges) + 1)
+    source = rng.choice(nodes)
+    target = rng.choice([node for node in nodes if node[0] != source[0]])
+    added = {"from": ref(source), "to": ref(target), "service": rng.choice(services)}
+    rewired = dict(edges[i])
+    side = rng.choice(("from", "to", "service"))
+    if side == "service":
+        rewired["service"] = rng.choice(services)
+    else:
+        rewired[side] = ref(rng.choice([node for node in nodes if node[0] == rewired[side]["component"]]))
+    return {
+        "delete": {**data, "edges": edges[:i] + edges[i + 1 :]},
+        "add": {**data, "edges": edges[:j] + [added] + edges[j:]},
+        "rewire": {**data, "edges": edges[:i] + [rewired] + edges[i + 1 :]},
+        "permute": {key: rng.sample(value, len(value)) for key, value in data.items()},
+    }
+
+
+def _same_graph(a, b):
+    return all(set(getattr(a, key)) == set(getattr(b, key)) for key in ("components", "removed", "nodes", "edges"))
+
+
+# sha256 of every unmutated run's exit code and stdout below, as the code
+# before the CIG comparison gave them
+_UNMUTATED_DIGEST = "17149feea694709fc2322a431e0d4833dbac3e48713ed4b7bdaf5236aeae79d8"
+
+
+def test_a_cig_other_than_the_one_the_charts_build_exits_2(capsys, tmp_path):
+    # seeded random chart sets: every mutant the charts do not build exits 2,
+    # and the CIG they do build, with the charts in either order and its own
+    # lists in any order, gives the same exit code and bytes as ever
+    rng = random.Random("missing-edges-20101018")
+    digest, unequal = hashlib.sha256(), {"delete": 0, "add": 0, "rewire": 0, "permute": 0}
+    built = 0
+    for i in range(150):
+        charts = ChartSet(tuple(random_chart_set(rng, 2 + i % 3)))
+        try:
+            cig = build_cig(charts)
+        except CigError:
+            continue
+        files = [_write(tmp_path, f"{chart.component_name}.sc", serialize_statechart(chart)) for chart in charts]
+        cig_path = _write(tmp_path, "cig.json", cig_to_json(cig))
+        code = main(["tests", "gen", "--cig", cig_path, *files])
+        out = capsys.readouterr().out
+        digest.update(f"{code}\n{out}".encode())
+        built += 1
+        assert main(["tests", "gen", "--cig", cig_path, *files[::-1]]) == code  # chart order does not matter
+        assert capsys.readouterr().out == out
+        for kind, mutant in _cig_mutants(rng, json.loads(cig_to_json(cig))).items():
+            text = json.dumps(mutant, indent=2) + "\n"
+            try:
+                same = _same_graph(cig_from_json(text), cig)
+            except CigError:
+                same = False
+            _write(tmp_path, "cig.json", text)
+            assert main(["tests", "gen", "--cig", cig_path, *files]) == (code if same else 2), (kind, text)
+            assert capsys.readouterr().out == (out if same else "")
+            unequal[kind] += not same
+    assert unequal.pop("permute") == 0
+    assert built >= 100 and min(unequal.values()) >= 50, (built, unequal)
+    assert digest.hexdigest() == _UNMUTATED_DIGEST

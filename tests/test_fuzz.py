@@ -4,9 +4,10 @@ Mutated chart text may raise only ``StatechartError``, and it parses to the
 same chart, or fails with the same error, message, line and column, as the
 character-walking reference parser in ``oracles.py``. Mutated library
 documents load to the same library, or fail with the same error and message,
-as the reference reader without a step memo. Mutated CIG, library and
-composition documents given to ``cli.run`` must never raise, and every run
-exits 0, 1 or 2.
+as the reference reader without a step memo, and every document decodes to
+the value ``json.loads`` gives. Mutated CIG, library and composition
+documents given to ``cli.run`` must never raise, and every run exits 0, 1
+or 2.
 """
 
 import json
@@ -15,8 +16,9 @@ import random
 import pytest
 
 from conftest import DISPENSER, VENDING
-from cigkit import StatechartError, library_from_json, parse_statechart, serialize_statechart
+from cigkit import SchemaError, StatechartError, library_from_json, parse_statechart, serialize_statechart
 from cigkit.cli import run
+from cigkit.documents import _loads
 from oracles import oracle_library_from_json, oracle_parse_statechart, random_chart
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
@@ -201,6 +203,60 @@ def test_equal_steps_are_one_object_within_a_load_and_never_across_loads():
     steps = [step for case in first for step in case.steps]
     assert len({id(step) for step in steps}) == len(set(steps)) < len(steps)
     assert not {id(step) for step in steps} & {id(step) for case in second for step in case.steps}
+
+
+def _decoded(loads, text: str):
+    """The decoded value as ``json.dumps`` writes it (key order and value
+    types included), or the error's class and message."""
+    try:
+        return json.dumps(loads(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _plain_loads(text: str):
+    """``documents._loads`` without its decode hook."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+
+
+def test_shared_decoding_matches_json_loads(documents):
+    rng = random.Random("decode-hook-20101018")
+    originals = [path.read_text(encoding="utf-8") for path in documents.values()]
+    originals += [_library_text(rng, rng.randint(1, 12), bad=0.4) for _ in range(200)]
+    texts = originals + [_mutant(rng, rng.choice(originals)) for _ in range(3000)]
+    texts += ["[" * 100_000, '{"a": ' * 100_000, "1" * 5000, '{"a": [' + "9" * 5000 + "]}"]
+    differences = [text for text in texts if _decoded(_loads, text) != _decoded(_plain_loads, text)]
+    assert not differences, f"{len(differences)} of {len(texts)} texts differ, first:\n{differences[0][:2000]}"
+    errors = sum(isinstance(_decoded(_loads, text), tuple) for text in texts)
+    assert 500 < errors < len(texts) - 500  # both values and errors are compared
+
+
+def test_shared_decoding_never_merges_values_of_other_types():
+    data = _loads('{"a": [{"x": 1}, {"x": true}, {"x": "1"}, {"x": 1.0}, {"x": "1"}, {"x": ["1"]}]}')
+    objects = data["a"]
+    assert [type(obj["x"]) for obj in objects] == [int, bool, str, float, str, list]
+    assert len({id(obj) for obj in objects}) == 5 and objects[2] is objects[4]
+    # the same names and values, paired or ordered otherwise
+    first, swapped, reordered = _loads('[{"a": "x", "b": "y"}, {"b": "x", "a": "y"}, {"b": "y", "a": "x"}]')
+    assert swapped == {"a": "y", "b": "x"} and list(reordered) == ["b", "a"]
+    assert first == reordered and first is not reordered
+
+
+def test_equal_string_steps_in_one_document_decode_to_one_object():
+    step = {"event": "go", "expected_state": {"component": "A", "state": "s"}, "expected_actions": ["ok"]}
+    reordered = {"expected_actions": ["ok"], "event": "go", "expected_state": {"component": "A", "state": "s"}}
+    cases = [{"id": f"c{i}", "owner": "A", "services": [], "steps": [step, reordered]} for i in range(3)]
+    text = json.dumps({"cases": cases})
+    first, second = (_loads(text)["cases"] for _ in range(2))
+    assert first[0]["steps"][0] is first[1]["steps"][0] is first[2]["steps"][0]
+    assert first[0]["steps"][1] is first[2]["steps"][1] is not first[0]["steps"][0]  # key order is kept
+    assert list(first[0]["steps"][1]) == list(reordered)
+    assert first[0]["steps"][0]["expected_state"] is first[0]["steps"][1]["expected_state"]
+    assert first[0] is not first[1]  # a case holds an array of objects, which is never shared
+    assert first[0]["steps"][0] is not second[0]["steps"][0]  # nor is anything across loads
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """How commands write their results: in batches, the same bytes to stdout and
 to ``--out``, nothing when they fail first, one error line when stdout is
-closed, and never the whole composed library held in memory several times."""
+closed, and never the whole composed library held in memory several times;
+and how little memory loading an authored library takes."""
 
 import io
 import os
@@ -182,3 +183,29 @@ def test_tests_compose_holds_less_than_its_output_in_memory(tmp_path, inputs):
     size = out.stat().st_size
     assert size > 2_000_000
     assert peak < 2.5 * size, f"peak {peak / size:.2f} x the {size} output bytes"
+
+
+def test_loading_a_library_holds_less_than_twice_its_text(inputs):
+    # equal step objects decode to one dict, so the decoded tree follows the
+    # library's few distinct steps instead of its 2,400 written ones
+    text = inputs["t1"].read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        library = library_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(library) == 800
+    assert peak < 2 * len(text), f"peak {peak / len(text):.2f} x the {len(text)} text characters"
+
+
+def test_writing_a_library_keeps_no_case_text(inputs):
+    # a case text is kept only till the last use of a case held twice, as ``final`` repeats them
+    library = library_from_json(inputs["t1"].read_text(encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        size = sum(len(chunk) for chunk in library_chunks(library))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, f"peak {peak / size:.2f} x the {size} characters written"

@@ -6,6 +6,7 @@ import pytest
 import cigkit.testlib as testlib
 from cigkit import (
     ChartSet,
+    Cig,
     CigError,
     DuplicateTestId,
     InvalidIdentifier,
@@ -354,6 +355,20 @@ def test_generate_rejects_a_cig_the_charts_no_longer_build():
         SchemaError, match="^CIG does not match its statecharts: the charts share no services"
     ):
         generate_new_tests(cig, charts(""))
+
+
+def test_generate_compares_the_cig_without_order_and_warns_only_if_it_matches(fixture_charts):
+    cig = build_cig(fixture_charts)
+    expected = generate_new_tests(cig, fixture_charts)
+    reordered = Cig(*(tuple(reversed(getattr(cig, key))) for key in ("components", "removed", "nodes", "edges")))
+    warnings = []
+    assert generate_new_tests(reordered, fixture_charts, warn=warnings.append) == expected
+    assert len(warnings) == 2
+    pruned = Cig(cig.components, cig.removed, cig.nodes, cig.edges[1:])
+    warnings.clear()
+    with pytest.raises(SchemaError, match="^CIG does not match its statecharts: they build another CIG$"):
+        generate_new_tests(pruned, fixture_charts, warn=warnings.append)
+    assert warnings == []
 
 
 def test_event_paths_match_per_goal_search():
