@@ -21,6 +21,11 @@ from .statechart import ChartSet, Transition, extract_interfaces
 StateRef = tuple[str, str]  # (component name, state name)
 
 
+def _ref(pair) -> StateRef:
+    """The first two items of ``pair`` as a StateRef, kept as it is if it already is one."""
+    return pair if type(pair) is tuple and len(pair) == 2 else (pair[0], pair[1])
+
+
 class Kind(Enum):
     """How a state participates in cross-component interaction."""
 
@@ -80,8 +85,8 @@ class CigEdge:
     service: ServiceName
 
     def __post_init__(self):
-        object.__setattr__(self, "source", (self.source[0], self.source[1]))
-        object.__setattr__(self, "target", (self.target[0], self.target[1]))
+        object.__setattr__(self, "source", _ref(self.source))
+        object.__setattr__(self, "target", _ref(self.target))
         object.__setattr__(self, "service", ServiceName(self.service))
         if self.source[0] == self.target[0]:
             raise ValueError(f"edge within one component: {self.source} -> {self.target}")
@@ -99,7 +104,9 @@ class Cig:
     def __post_init__(self):
         components = tuple(check_identifier(c, "component name") for c in self.components)
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "removed", tuple((c, s) for c, s in self.removed))
+        # unpacking checks each ref has two items; a tuple that has is kept
+        removed = tuple(ref if type(ref) is tuple else (c, s) for ref in self.removed for c, s in [ref])
+        object.__setattr__(self, "removed", removed)
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         known = set()

@@ -38,6 +38,9 @@ class ServiceName(str):
 
 
 def _service_set(values: Iterable[str]) -> frozenset[ServiceName]:
+    """The values as a frozenset of ServiceName, kept as they are if they already are one."""
+    if type(values) is frozenset and all(type(v) is ServiceName for v in values):
+        return values
     return frozenset(ServiceName(v) for v in values)
 
 

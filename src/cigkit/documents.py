@@ -12,7 +12,7 @@ import json
 from collections.abc import Iterator
 
 from .cig import _KIND_ORDER, Cig, CigEdge, CigNode, StateRef
-from .components import Component, CompositionResult, CompositionStep, _service_set
+from .components import Component, CompositionResult, CompositionStep, ServiceName, _service_set
 from .errors import InvalidIdentifier, SchemaError
 from .testlib import ComposedLibraryResult, Origin, TestCase, TestLibrary, TestStep
 
@@ -174,10 +174,24 @@ def cig_to_json(cig: Cig) -> str:
     return _object(document, "") + "\n"
 
 
-def _ref_from_dict(data: object, what: str) -> StateRef:
-    if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
-        raise SchemaError(f"{what} must be an object with 'component' and 'state'")
-    return (data["component"], data["state"])
+def _one(memo: dict, kind: type, value: object) -> object:
+    """The load's one ``kind(value)`` for each distinct string ``value``; any
+    other value is passed on for the model to report."""
+    if type(value) is not str:
+        return value
+    key = (kind, value)  # a service name and an equal owner stay apart
+    if key not in memo:
+        memo[key] = kind(value)
+    return memo[key]
+
+
+def _ref_from_dict(data: object, what: str, memo: dict) -> StateRef:
+    """One tuple for each raw object, which decoding shares among equal refs."""
+    if id(data) not in memo:
+        if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
+            raise SchemaError(f"{what} must be an object with 'component' and 'state'")
+        memo[id(data)] = (data["component"], data["state"])
+    return memo[id(data)]
 
 
 _CODE_TO_KIND = {k.value: k for k in _KIND_ORDER}
@@ -192,6 +206,7 @@ def cig_from_json(text: str) -> Cig:
             raise SchemaError(f"CIG document is missing key {key!r}")
         if not isinstance(data[key], list):
             raise SchemaError(f"CIG {key!r} must be an array")
+    memo: dict = {}  # keyed by raw ref ids, kind sets and (ServiceName, name)
     try:
         nodes = []
         for raw in data["nodes"]:
@@ -200,27 +215,23 @@ def cig_from_json(text: str) -> Cig:
             kinds = raw["kinds"]
             if not isinstance(kinds, list) or not all(k in _CODE_TO_KIND for k in kinds):
                 raise SchemaError(f"invalid kind codes in node {raw.get('state')!r}")
-            nodes.append(
-                CigNode(
-                    component=raw["component"],
-                    state=raw["state"],
-                    kinds=frozenset(_CODE_TO_KIND[k] for k in kinds),
-                )
-            )
+            kinds = frozenset(_CODE_TO_KIND[k] for k in kinds)
+            kinds = memo.setdefault(kinds, kinds)
+            nodes.append(CigNode(component=raw["component"], state=raw["state"], kinds=kinds))
         edges = []
         for raw in data["edges"]:
             if not isinstance(raw, dict) or not {"from", "to", "service"} <= raw.keys():
                 raise SchemaError("CIG edge must have 'from', 'to' and 'service'")
             edges.append(
                 CigEdge(
-                    source=_ref_from_dict(raw["from"], "edge 'from'"),
-                    target=_ref_from_dict(raw["to"], "edge 'to'"),
-                    service=raw["service"],
+                    source=_ref_from_dict(raw["from"], "edge 'from'", memo),
+                    target=_ref_from_dict(raw["to"], "edge 'to'", memo),
+                    service=_one(memo, ServiceName, raw["service"]),
                 )
             )
         return Cig(
             components=tuple(data["components"]),
-            removed=tuple(_ref_from_dict(r, "removed entry") for r in data["removed"]),
+            removed=tuple(_ref_from_dict(r, "removed entry", memo) for r in data["removed"]),
             nodes=tuple(nodes),
             edges=tuple(edges),
         )
@@ -256,27 +267,23 @@ def _case_text(case: TestCase, pad: str, texts: dict[int, str]) -> str:
 
 def library_chunks(document: TestLibrary | ComposedLibraryResult) -> Iterator[str]:
     """A test library or composed library result document, one case or less
-    per chunk. Steps held twice are written once, and so are cases two parts hold,
-    keyed by ``id()`` (a loaded document may reuse case ids) till their last part."""
+    per chunk. Steps held twice are written once, keyed by ``id()``; a case is
+    written afresh each time a part holds it, so no case text outlives its chunk."""
     nested = isinstance(document, ComposedLibraryResult)
     pad = "  " if nested else ""
     parts = [(key, getattr(document, key)) for key in _RESULT_KEYS] if nested else [(None, document)]
-    last = {id(case): i for i, (_, library) in enumerate(parts) for case in library.cases}
     texts: dict[int, str] = {}
     for i, (key, library) in enumerate(parts):
         if key is not None:
             yield f'{"," if i else "{"}\n  "{key}": '
         yield f'{{\n{pad}  "cases": ['
         for j, case in enumerate(library.cases):
-            text = texts.pop(id(case), None) or _case_text(case, pad + "    ", texts)
-            if last[id(case)] > i:
-                texts[id(case)] = text
-            yield f'{"," if j else ""}\n{pad}    {text}'
+            yield f'{"," if j else ""}\n{pad}    {_case_text(case, pad + "    ", texts)}'
         yield (f"\n{pad}  ]" if library.cases else "]") + f"\n{pad}}}"
     yield "\n}\n" if pad else "\n"
 
 
-def _step_from_dict(data: object, memo: dict[object, TestStep]) -> TestStep:
+def _step_from_dict(data: object, memo: dict) -> TestStep:
     if not isinstance(data, dict) or "event" not in data:
         raise SchemaError("test step must be an object with an 'event'")
     expected_state = None
@@ -296,7 +303,19 @@ def _step_from_dict(data: object, memo: dict[object, TestStep]) -> TestStep:
     return memo.setdefault(id(data), memo.setdefault(step, step))
 
 
-def _case_from_dict(data: object, memo: dict[object, TestStep]) -> TestCase:
+def _services(raw: list, memo: dict) -> frozenset:
+    """The load's one set of ServiceNames for each set of valid names; any other
+    set is passed on for the case to report after the checks it makes first."""
+    services = frozenset(raw)
+    if services not in memo:
+        try:
+            memo[services] = frozenset(_one(memo, ServiceName, name) for name in services)
+        except InvalidIdentifier:
+            return services
+    return memo[services]
+
+
+def _case_from_dict(data: object, memo: dict) -> TestCase:
     if not isinstance(data, dict):
         raise SchemaError("test case must be a JSON object")
     for key in ("id", "owner", "services", "steps"):
@@ -312,8 +331,8 @@ def _case_from_dict(data: object, memo: dict[object, TestStep]) -> TestCase:
     try:
         return TestCase(
             id=data["id"],
-            owner=data["owner"],
-            services=frozenset(data["services"]),
+            owner=_one(memo, str, data["owner"]),
+            services=_services(data["services"], memo),
             steps=tuple(memo.get(id(s)) or _step_from_dict(s, memo) for s in data["steps"]),
             origin=origin,
         )
@@ -326,7 +345,7 @@ def library_from_dict(data: object) -> TestLibrary:
         raise SchemaError("test library must be an object with a 'cases' array")
     if not isinstance(data["cases"], list):
         raise SchemaError("'cases' must be an array")
-    memo: dict[object, TestStep] = {}
+    memo: dict = {}  # keyed by raw step ids, steps, service sets and (type, name)
     return TestLibrary(tuple(_case_from_dict(c, memo) for c in data["cases"]))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .cig import Cig, CigEdge, StateRef, build_cig
-from .components import ServiceName, check_identifier
+from .cig import Cig, CigEdge, StateRef, build_cig, format_kinds
+from .components import ServiceName, _service_set, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 from .statechart import ChartSet, Statechart, Transition
 
@@ -64,7 +64,7 @@ class TestCase:
         if not self.id or not isinstance(self.id, str):
             raise ValueError("test case id must be a nonempty string")
         check_identifier(self.owner, "owner component name")
-        object.__setattr__(self, "services", frozenset(ServiceName(s) for s in self.services))
+        object.__setattr__(self, "services", _service_set(self.services))
         object.__setattr__(self, "steps", tuple(self.steps))
         if self.origin is Origin.GENERATED and not self.services:
             raise ValueError(f"generated case {self.id!r} must name its services")
@@ -220,6 +220,26 @@ def _close_step(component: str, draft: dict) -> TestStep:
     )
 
 
+_ELEMENTS = (
+    ("removed", "removed state", lambda ref: "%s.%s" % ref),
+    ("nodes", "node", lambda node: f"{node.component}.{node.state} ({format_kinds(node.kinds)})"),
+    ("edges", "edge", lambda edge: "%s.%s -> %s.%s on %s" % (*edge.source, *edge.target, edge.service)),
+)
+
+
+def _difference(built: Cig, cig: Cig) -> str | None:
+    """The first element ``cig`` lacks or has beyond ``built``: removed states,
+    then nodes, then edges, each missing ones first in ``built``'s order, then
+    extra ones in ``cig``'s."""
+    for field, what, text in _ELEMENTS:
+        want, have = getattr(built, field), getattr(cig, field)
+        for label, elements, others in (("missing", want, set(have)), ("extra", have, set(want))):
+            for element in elements:
+                if element not in others:
+                    return f"{label} {what} {text(element)}"
+    return None
+
+
 def generate_new_tests(
     cig: Cig, charts: ChartSet, warn: Callable[[str], None] | None = None
 ) -> TestLibrary:
@@ -232,7 +252,8 @@ def generate_new_tests(
     recorded only when it is unambiguous; ``warn`` hears about omissions once
     the CIG is known to match. A CIG its charts do not build (edges, nodes and
     removed states compared as sets) is a SchemaError, at the first edge no
-    transition accepts or after the last; an UnreachableProvider is then its reason.
+    transition accepts or after the last; an UnreachableProvider is then its
+    reason, else the first element that differs.
     """
     for component in cig.components:
         if component not in charts.names:
@@ -278,8 +299,10 @@ def generate_new_tests(
         rebuilt = build_cig(ChartSet(tuple(c for c in charts if c.component_name in cig.components)))
     except (CigError, ValueError) as error:
         raise SchemaError(f"CIG does not match its statecharts: {error}") from None
-    if any(set(getattr(rebuilt, f)) != set(getattr(cig, f)) for f in ("removed", "nodes", "edges")):
-        raise SchemaError(f"CIG does not match its statecharts: {failure or 'they build another CIG'}") from None
+    difference = _difference(rebuilt, cig)
+    if difference is not None:
+        reason = failure or f"they build another CIG, {difference}"
+        raise SchemaError(f"CIG does not match its statecharts: {reason}") from None
     for message in held if warn is not None else ():
         warn(message)
     if failure is not None:

@@ -499,7 +499,10 @@ def test_tests_gen_rejects_a_cig_missing_edges_the_charts_build(capsys, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     # the warnings for cases of the rejected CIG are never heard
-    assert captured.err == "cig: error: CIG does not match its statecharts: they build another CIG\n"
+    assert captured.err == (
+        "cig: error: CIG does not match its statecharts: they build another CIG, "
+        "missing node Dispenser.Insufficient (P,R)\n"
+    )
     assert not out.exists()
 
 

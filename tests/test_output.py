@@ -1,7 +1,8 @@
 """How commands write their results: in batches, the same bytes to stdout and
 to ``--out``, nothing when they fail first, one error line when stdout is
 closed, and never the whole composed library held in memory several times;
-and how little memory loading an authored library takes."""
+and how little memory loading an authored library takes, with one object
+for each distinct value it holds."""
 
 import io
 import os
@@ -20,6 +21,7 @@ from cigkit import (
     TestCase,
     TestLibrary,
     TestStep,
+    cig_from_json,
     compose_libraries,
     composed_result_to_json,
     composition_result_from_json,
@@ -187,24 +189,54 @@ def test_tests_compose_holds_less_than_its_output_in_memory(tmp_path, inputs):
 
 def test_loading_a_library_holds_less_than_twice_its_text(inputs):
     # equal step objects decode to one dict, so the decoded tree follows the
-    # library's few distinct steps instead of its 2,400 written ones
+    # library's few distinct steps instead of its 2,400 written ones; the loaded
+    # cases then share their owner, service names and service sets, so once the
+    # text is freed the library holds less than it
     text = inputs["t1"].read_text(encoding="utf-8")
+    size = len(text)
     tracemalloc.start()
     try:
         library = library_from_json(text)
-        peak = tracemalloc.get_traced_memory()[1]
+        del text
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(library) == 800
-    assert peak < 2 * len(text), f"peak {peak / len(text):.2f} x the {len(text)} text characters"
+    assert peak < 2 * size, f"peak {peak / size:.2f} x the {size} text characters"
+    assert current < 0.75 * size, f"{current / size:.2f} x the {size} text characters held"
 
 
-def test_writing_a_library_keeps_no_case_text(inputs):
-    # a case text is kept only till the last use of a case held twice, as ``final`` repeats them
+def _first_of_each(values) -> bool:
+    """Whether each value is the first one equal to it: one object per distinct value."""
+    first = {}
+    return all(first.setdefault(value, value) is value for value in values)
+
+
+def test_a_load_holds_one_object_per_distinct_value(inputs):
     library = library_from_json(inputs["t1"].read_text(encoding="utf-8"))
+    sets = [case.services for case in library]
+    assert len(set(sets)) < len(sets) and _first_of_each(sets)
+    assert _first_of_each(case.owner for case in library)
+    assert _first_of_each(name for services in sets for name in services)
+    cig = cig_from_json(inputs["cig"].read_text(encoding="utf-8"))
+    endpoints = [ref for edge in cig.edges for ref in (edge.source, edge.target)]
+    assert len(set(endpoints)) < len(endpoints) and _first_of_each(endpoints)
+    services = [edge.service for edge in cig.edges]
+    assert len(set(services)) < len(services) and _first_of_each(services)
+
+
+@pytest.mark.parametrize("composed", [False, True], ids=["library", "composed"])
+def test_writing_a_library_keeps_no_case_text(inputs, composed):
+    # a case is rendered each time a part holds it, so no case text outlives
+    # its chunk, though ``final`` repeats ``retained``; only step texts are kept
+    document = library_from_json(inputs["t1"].read_text(encoding="utf-8"))
+    if composed:
+        t2, tnew = (library_from_json(inputs[n].read_text(encoding="utf-8")) for n in ("t2", "gen"))
+        composition = composition_result_from_json(inputs["comp"].read_text(encoding="utf-8"))
+        document = compose_libraries(document, t2, composition.all_satisfied(), tnew)
     tracemalloc.start()
     try:
-        size = sum(len(chunk) for chunk in library_chunks(library))
+        size = sum(len(chunk) for chunk in library_chunks(document))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -8,8 +9,10 @@ from cigkit import (
     ChartSet,
     Cig,
     CigError,
+    CigNode,
     DuplicateTestId,
     InvalidIdentifier,
+    Kind,
     Origin,
     SchemaError,
     TestCase,
@@ -366,9 +369,30 @@ def test_generate_compares_the_cig_without_order_and_warns_only_if_it_matches(fi
     assert len(warnings) == 2
     pruned = Cig(cig.components, cig.removed, cig.nodes, cig.edges[1:])
     warnings.clear()
-    with pytest.raises(SchemaError, match="^CIG does not match its statecharts: they build another CIG$"):
+    message = "CIG does not match its statecharts: they build another CIG, missing edge "
+    with pytest.raises(SchemaError, match=f"^{message}VendingMachine.SingleCoin -> Dispenser.Empty on setCredit$"):
         generate_new_tests(pruned, fixture_charts, warn=warnings.append)
     assert warnings == []
+
+
+def test_generate_names_the_first_element_the_cig_lacks_or_adds(fixture_charts):
+    # removed states, then nodes, then edges; missing ones before extra ones,
+    # and missing ones in the order the charts build them, whatever the CIG's order
+    cig = build_cig(fixture_charts)
+    components, removed, nodes, edges = cig.components, cig.removed, cig.nodes, cig.edges
+    nowhere = (("Dispenser", "Nowhere"),)
+    lone = CigNode("Dispenser", "Nowhere", frozenset({Kind.REQUIRED}))
+    empty = "Dispenser.Empty on setCredit"
+    for mutated, difference in [
+        (Cig(components, removed + nowhere, nodes, edges[1:]), "extra removed state Dispenser.Nowhere"),
+        (Cig(components, nowhere, nodes, edges), "missing removed state VendingMachine.ReadyToDispense"),
+        (Cig(components, removed, nodes + (lone,), edges[1:]), "extra node Dispenser.Nowhere (R)"),
+        (Cig(components, removed, nodes[1:], edges), f"missing node VendingMachine.{nodes[0].state} (G)"),
+        (Cig(components, removed, nodes, edges[:1:-1]), f"missing edge VendingMachine.SingleCoin -> {empty}"),
+    ]:
+        message = f"CIG does not match its statecharts: they build another CIG, {difference}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            generate_new_tests(mutated, fixture_charts)
 
 
 def test_event_paths_match_per_goal_search():
