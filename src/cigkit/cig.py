@@ -9,12 +9,11 @@ with service-labeled edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .components import ServiceName, check_identifier
+from .components import ServiceName, _Frozen, check_identifier
 from .errors import NoInteraction
 from .statechart import ChartSet, Transition, extract_interfaces
 
@@ -45,16 +44,14 @@ def format_kinds(kinds: frozenset[Kind]) -> str:
     return ",".join(k.value for k in _KIND_ORDER if k in kinds)
 
 
-@dataclass(frozen=True)
-class ServiceSides:
+class ServiceSides(_Frozen):
     """States emitting a service and states accepting it, in chart order."""
 
     emitters: tuple[StateRef, ...]
     acceptors: tuple[StateRef, ...]
 
 
-@dataclass(frozen=True)
-class CigNode:
+class CigNode(_Frozen):
     component: str
     state: str
     kinds: frozenset[Kind]
@@ -76,8 +73,7 @@ class CigNode:
         return (self.component, self.state)
 
 
-@dataclass(frozen=True)
-class CigEdge:
+class CigEdge(_Frozen):
     """A providing state feeding a requiring state of another component."""
 
     source: StateRef
@@ -92,8 +88,7 @@ class CigEdge:
             raise ValueError(f"edge within one component: {self.source} -> {self.target}")
 
 
-@dataclass(frozen=True)
-class Cig:
+class Cig(_Frozen):
     """The interaction graph: classified interface states plus labeled edges."""
 
     components: tuple[str, ...]

@@ -17,7 +17,6 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cig import Cig, Kind, build_cig, cig_to_dot, format_kinds
@@ -40,14 +39,14 @@ _DOMAIN_ERRORS = (NotComposable, NoInteraction, DuplicateTestId, UnreachableProv
 _BATCH = 1 << 16  # characters per write: each write to unbuffered stdout is a system call
 
 
-@dataclass
 class RunReport:
     """What a command run did: inputs read, warnings raised, exit code."""
 
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    exit_code: int = 0
+    def __init__(self, command: str, inputs: Iterable[str] = (), warnings: Iterable[str] = (), exit_code: int = 0):
+        self.command = command
+        self.inputs = list(inputs)
+        self.warnings = list(warnings)
+        self.exit_code = exit_code
 
 
 def _fail(report: RunReport, exc: CigError):

@@ -10,7 +10,7 @@ satisfied set and are removed from the composite's interface.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DisjointnessViolation, InvalidIdentifier, NotComposable
@@ -37,6 +37,57 @@ class ServiceName(str):
         return super().__new__(cls, value)
 
 
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """A frozen value object with a frozen dataclass's semantics. Its fields are
+    its class's own annotations, given by position or keyword, and class
+    attributes are their defaults; ``__post_init__`` then checks them and may
+    normalise them through ``object.__setattr__``."""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = dict.fromkeys(cls.__annotations__)  # the names in order, and their set as keys()
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._row = attrgetter("__class__", *cls._fields)  # a tuple, also for one field
+
+    def __init__(self, *args, **kwargs):
+        if args:
+            count = len(args) + len(kwargs)
+            kwargs.update(zip(self._fields, args))
+            if len(kwargs) != count:  # one field given twice, or more arguments than fields
+                raise TypeError(f"{type(self).__name__}() takes each of its {len(self._fields)} fields once")
+        if kwargs.keys() != self._fields.keys():
+            kwargs = {**self._defaults, **kwargs}
+            if kwargs.keys() != self._fields.keys():
+                raise TypeError(f"{type(self).__name__}() needs the fields {list(self._fields)}, got {list(kwargs)}")
+        for name in self._fields:  # in field order, so that instances share one key table
+            _setattr(self, name, kwargs[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._row(self) == other._row(other)
+
+    def __hash__(self):
+        return hash(self._row(self)[1:])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._row(self)[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _service_set(values: Iterable[str]) -> frozenset[ServiceName]:
     """The values as a frozenset of ServiceName, kept as they are if they already are one."""
     if type(values) is frozenset and all(type(v) is ServiceName for v in values):
@@ -44,8 +95,7 @@ def _service_set(values: Iterable[str]) -> frozenset[ServiceName]:
     return frozenset(ServiceName(v) for v in values)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Frozen):
     """A named pair of disjoint service-name sets.
 
     ``internal_map`` optionally records which provided service backs each
@@ -102,8 +152,7 @@ def is_composable(c1: Component, c2: Component) -> bool:
     return bool(satisfied_services(c1, c2))
 
 
-@dataclass(frozen=True)
-class CompositionStep:
+class CompositionStep(_Frozen):
     """One pairwise composition: the operand names and the services it consumed."""
 
     left: str
@@ -116,8 +165,7 @@ class CompositionStep:
         object.__setattr__(self, "satisfied", _service_set(self.satisfied))
 
 
-@dataclass(frozen=True)
-class CompositionResult:
+class CompositionResult(_Frozen):
     """Outcome of composing components.
 
     ``steps`` records the whole fold in order, one entry per pair; there is at

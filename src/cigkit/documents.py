@@ -340,13 +340,16 @@ def _case_from_dict(data: object, memo: dict) -> TestCase:
         raise SchemaError(f"invalid test case: {exc}") from None
 
 
-def library_from_dict(data: object) -> TestLibrary:
+def _library_from_dict(data: object, memo: dict) -> TestLibrary:
     if not isinstance(data, dict) or "cases" not in data:
         raise SchemaError("test library must be an object with a 'cases' array")
     if not isinstance(data["cases"], list):
         raise SchemaError("'cases' must be an array")
-    memo: dict = {}  # keyed by raw step ids, steps, service sets and (type, name)
     return TestLibrary(tuple(_case_from_dict(c, memo) for c in data["cases"]))
+
+
+def library_from_dict(data: object) -> TestLibrary:
+    return _library_from_dict(data, {})  # the memo is keyed by raw step ids, steps, service sets and (type, name)
 
 
 def library_to_json(document: TestLibrary | ComposedLibraryResult) -> str:
@@ -364,11 +367,15 @@ def composed_result_from_json(text: str) -> ComposedLibraryResult:
     data = _loads(text)
     if not isinstance(data, dict):
         raise SchemaError("composed library result must be a JSON object")
+    memo: dict = {}  # one for the four parts, so that equal steps, names and service sets are one object
     parts = {}
     for key in _RESULT_KEYS:
         if key not in data:
             raise SchemaError(f"composed library result is missing key {key!r}")
-        parts[key] = library_from_dict(data[key])
+        parts[key] = _library_from_dict(data[key], memo)
+    # final repeats retained then generated: a final case equal to one of theirs becomes that object
+    earlier = {case.id: case for case in (*parts["retained"], *parts["generated"])}
+    parts["final"] = TestLibrary(tuple(earlier[c.id] if earlier.get(c.id) == c else c for c in parts["final"]))
     try:
         return ComposedLibraryResult(**parts)
     except ValueError as exc:

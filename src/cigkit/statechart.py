@@ -30,10 +30,9 @@ token ``2..max`` style denotes a value range and is kept verbatim.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
-from .components import _IDENTIFIER_RE, Component, ServiceName, check_identifier
+from .components import _IDENTIFIER_RE, Component, ServiceName, _Frozen, check_identifier
 from .errors import (
     DisjointnessViolation,
     DuplicateComponent,
@@ -62,8 +61,7 @@ def _check_param_token(token: str) -> str:
     return token
 
 
-@dataclass(frozen=True)
-class ActionEmission:
+class ActionEmission(_Frozen):
     """An emitted action with verbatim, uninterpreted parameter tokens."""
 
     action: ServiceName
@@ -74,8 +72,7 @@ class ActionEmission:
         object.__setattr__(self, "params", tuple(_check_param_token(p) for p in self.params))
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Frozen):
     """A directed transition. ``event`` is None for automatic transitions."""
 
     source: str
@@ -94,8 +91,7 @@ class Transition:
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
-@dataclass(frozen=True)
-class Statechart:
+class Statechart(_Frozen):
     """A flat state machine owned by one component."""
 
     component_name: str
@@ -138,8 +134,7 @@ class Statechart:
         return tuple(t for _, t in self.outgoing_index.get(state, ()))
 
 
-@dataclass(frozen=True)
-class ChartSet:
+class ChartSet(_Frozen):
     """An ordered collection of statecharts with unique component names."""
 
     charts: tuple[Statechart, ...]

@@ -9,12 +9,11 @@ the generated cases, one generated case per interaction-graph edge.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .cig import Cig, CigEdge, StateRef, build_cig, format_kinds
-from .components import ServiceName, _service_set, check_identifier
+from .components import ServiceName, _Frozen, _service_set, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 from .statechart import ChartSet, Statechart, Transition
 
@@ -24,8 +23,7 @@ class Origin(Enum):
     GENERATED = "generated"
 
 
-@dataclass(frozen=True)
-class TestStep:
+class TestStep(_Frozen):
     """One stimulus: send an event, optionally check the landing state, check
     the emitted actions in order."""
 
@@ -50,8 +48,7 @@ class TestStep:
 _GENERATED_PREFIX = "tnew_"
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(_Frozen):
     __test__ = False
 
     id: str
@@ -74,8 +71,7 @@ class TestCase:
             )
 
 
-@dataclass(frozen=True)
-class TestLibrary:
+class TestLibrary(_Frozen):
     __test__ = False
 
     cases: tuple[TestCase, ...] = ()
@@ -99,8 +95,7 @@ class TestLibrary:
         return frozenset(case.id for case in self.cases)
 
 
-@dataclass(frozen=True)
-class ComposedLibraryResult:
+class ComposedLibraryResult(_Frozen):
     """Outcome of composing two libraries: what was kept, dropped, added."""
 
     retained: TestLibrary

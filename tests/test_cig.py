@@ -1,12 +1,12 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
 import cigkit.cli as cli
 from cigkit import (
     ChartSet,
+    Cig,
     InvalidIdentifier,
     DisjointnessViolation,
     Kind,
@@ -312,9 +312,9 @@ def test_cig_rejects_duplicate_edge(fixture_charts):
 def test_cig_components_and_removed_refs_must_be_identifiers(fixture_charts):
     cig = build_cig(fixture_charts)
     with pytest.raises(InvalidIdentifier, match="invalid component name: 5"):
-        replace(cig, components=(*cig.components, 5))
+        Cig(components=(*cig.components, 5), removed=cig.removed, nodes=cig.nodes, edges=cig.edges)
     with pytest.raises(InvalidIdentifier, match="invalid state name: None"):
-        replace(cig, removed=((VM, None),))
+        Cig(components=cig.components, removed=((VM, None),), nodes=cig.nodes, edges=cig.edges)
     data = json.loads(cig_to_json(cig))
     data["removed"] = [{"component": 5, "state": None}]
     with pytest.raises(SchemaError, match="invalid CIG document: invalid component name: 5"):
