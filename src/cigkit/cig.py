@@ -21,8 +21,9 @@ StateRef = tuple[str, str]  # (component name, state name)
 
 
 def _ref(pair) -> StateRef:
-    """The first two items of ``pair`` as a StateRef, kept as it is if it already is one."""
-    return pair if type(pair) is tuple and len(pair) == 2 else (pair[0], pair[1])
+    """``pair``, which must have two items, as a StateRef, kept as it is if it already is one."""
+    component, state = pair
+    return pair if type(pair) is tuple else (component, state)
 
 
 class Kind(Enum):
@@ -99,9 +100,10 @@ class Cig(_Frozen):
     def __post_init__(self):
         components = tuple(check_identifier(c, "component name") for c in self.components)
         object.__setattr__(self, "components", components)
-        # unpacking checks each ref has two items; a tuple that has is kept
-        removed = tuple(ref if type(ref) is tuple else (c, s) for ref in self.removed for c, s in [ref])
-        object.__setattr__(self, "removed", removed)
+        for i, component in enumerate(components):
+            if component in components[:i]:
+                raise ValueError(f"duplicate component {component!r}")
+        object.__setattr__(self, "removed", tuple(map(_ref, self.removed)))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         known = set()

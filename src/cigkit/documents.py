@@ -135,10 +135,10 @@ def composition_result_from_json(text: str) -> CompositionResult:
     for raw in data["steps"]:
         if not isinstance(raw, dict) or not {"left", "right", "satisfied"} <= raw.keys():
             raise SchemaError("composition step must have 'left', 'right' and 'satisfied'")
+        if not isinstance(raw["satisfied"], list):
+            raise SchemaError("composition step 'satisfied' must be an array")
         try:
-            steps.append(
-                CompositionStep(left=raw["left"], right=raw["right"], satisfied=frozenset(raw["satisfied"]))
-            )
+            steps.append(CompositionStep(left=raw["left"], right=raw["right"], satisfied=raw["satisfied"]))
         except (InvalidIdentifier, TypeError) as exc:
             raise SchemaError(f"invalid composition step: {exc}") from None
     try:

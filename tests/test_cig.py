@@ -7,6 +7,7 @@ import cigkit.cli as cli
 from cigkit import (
     ChartSet,
     Cig,
+    CigEdge,
     InvalidIdentifier,
     DisjointnessViolation,
     Kind,
@@ -307,6 +308,23 @@ def test_cig_rejects_duplicate_edge(fixture_charts):
     data["edges"].append(data["edges"][0])
     with pytest.raises(SchemaError, match="duplicate edge"):
         cig_from_json(json.dumps(data))
+
+
+def test_cig_rejects_a_component_listed_twice(fixture_charts):
+    data = json.loads(cig_to_json(build_cig(fixture_charts)))
+    data["components"].append(DISP)
+    with pytest.raises(SchemaError, match="^invalid CIG document: duplicate component 'Dispenser'$"):
+        cig_from_json(json.dumps(data))
+
+
+def test_edge_refs_have_exactly_two_items():
+    edge = CigEdge(source=[VM, "SingleCoin"], target=[DISP, "Empty"], service="setCredit")
+    assert edge.source == (VM, "SingleCoin") and type(edge.source) is tuple
+    for ref in ((VM, "SingleCoin", "junk"), (VM,)):
+        with pytest.raises(ValueError):
+            CigEdge(source=ref, target=(DISP, "Empty"), service="setCredit")
+        with pytest.raises(ValueError):
+            CigEdge(source=(DISP, "Empty"), target=ref, service="setCredit")
 
 
 def test_cig_components_and_removed_refs_must_be_identifiers(fixture_charts):

@@ -196,6 +196,17 @@ def test_tests_gen_rejects_duplicate_edge(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_tests_gen_rejects_a_component_listed_twice(capsys, tmp_path):
+    assert main(["cig", *FIXTURE_ARGS]) == 0
+    data = json.loads(capsys.readouterr().out)
+    data["components"].append("Dispenser")
+    cig_path = _write(tmp_path, "cig.json", json.dumps(data))
+    assert main(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cig: error: {cig_path}: invalid CIG document: duplicate component 'Dispenser'\n"
+
+
 def test_tests_gen_rejects_a_removed_ref_that_is_no_name(capsys, tmp_path):
     assert main(["cig", *FIXTURE_ARGS]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -314,6 +325,19 @@ def test_tests_compose_rejects_a_step_operand_that_is_no_name(capsys, tmp_path):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"cig: error: {bad}: invalid composition step: invalid component name: 5\n"
+
+
+@pytest.mark.parametrize("satisfied", ["insert", {"insert": 1, "refill": 2}])
+def test_tests_compose_rejects_a_step_satisfied_that_is_no_array(capsys, tmp_path, satisfied):
+    # read as a set, a string would give its characters and an object its keys
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    data = json.loads((tmp_path / "comp.json").read_text(encoding="utf-8"))
+    data["steps"].insert(0, {"left": "Coins", "right": "Box", "satisfied": satisfied})
+    bad = _write(tmp_path, "bad.json", json.dumps(data))
+    assert main(["tests", "compose", "--t1", t1, "--t2", t2, "--composition", bad, "--tnew", gen_path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cig: error: {bad}: composition step 'satisfied' must be an array\n"
 
 
 def test_usage_error_exits_2():
@@ -464,7 +488,10 @@ def test_tests_gen_rejects_a_stale_edge(capsys, tmp_path):
     assert report.exit_code == 2 and report.warnings == []
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "cig: error: state 'Empty' of 'Dispenser' has no transition accepting 'setCredit'\n"
+    assert out.err == (
+        "cig: error: CIG does not match its statecharts: they build another CIG, "
+        "missing node VendingMachine.SingleCoin (G)\n"
+    )
 
 
 def test_tests_gen_rejects_an_edge_nothing_emits_any_more(capsys, tmp_path):
@@ -478,8 +505,8 @@ def test_tests_gen_rejects_an_edge_nothing_emits_any_more(capsys, tmp_path):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.endswith(
-        "cig: error: CIG does not match its statecharts: state 'Enabled' of 'Dispenser' "
-        "has no triggered transition emitting 'ok'\n"
+        "cig: error: CIG does not match its statecharts: they build another CIG, "
+        "missing node Dispenser.Enabled (G)\n"
     )
 
 
@@ -601,13 +628,19 @@ def test_a_cig_other_than_the_one_the_charts_build_exits_2(capsys, tmp_path):
         assert capsys.readouterr().out == out
         for kind, mutant in _cig_mutants(rng, json.loads(cig_to_json(cig))).items():
             text = json.dumps(mutant, indent=2) + "\n"
+            loaded = True
             try:
                 same = _same_graph(cig_from_json(text), cig)
             except CigError:
-                same = False
+                same = loaded = False
             _write(tmp_path, "cig.json", text)
             assert main(["tests", "gen", "--cig", cig_path, *files]) == (code if same else 2), (kind, text)
-            assert capsys.readouterr().out == (out if same else "")
+            captured = capsys.readouterr()
+            assert captured.out == (out if same else "")
+            if loaded and not same:  # one rule names every loadable stale CIG's first difference
+                assert captured.err.count("\n") == 1 and captured.err.startswith(
+                    "cig: error: CIG does not match its statecharts: they build another CIG, "
+                ), (kind, captured.err)
             unequal[kind] += not same
     assert unequal.pop("permute") == 0
     assert built >= 100 and min(unequal.values()) >= 50, (built, unequal)
