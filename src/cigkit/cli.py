@@ -27,7 +27,7 @@ from .documents import (
     composition_result_from_json,
     composition_result_to_json,
     library_chunks,
-    library_from_json,
+    library_from_stream,
 )
 from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
 from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
@@ -68,13 +68,18 @@ def _about(path: str):
         raise CigError(f"{path}: {exc}") from None
 
 
-def _load(path: str, parse):
-    """Read ``path`` as UTF-8 text and parse it."""
+def _read(path: str, read):
+    """Open ``path`` as UTF-8 text, as ``Path.read_text`` does, and return ``read(stream)``."""
     try:
-        with _about(path):
-            return parse(Path(path).read_text(encoding="utf-8"))
+        with _about(path), open(path, encoding="utf-8") as stream:
+            return read(stream)
     except OSError as exc:
         raise CigError(str(exc)) from None
+
+
+def _load(path: str, parse):
+    """Read ``path`` as UTF-8 text and parse it."""
+    return _read(path, lambda stream: parse(stream.read()))
 
 
 def _chart_set(paths: list[str]) -> ChartSet:
@@ -157,9 +162,9 @@ def cmd_tests_gen(args, report: RunReport):
 
 def cmd_tests_compose(args, report: RunReport):
     report.inputs = [args.t1, args.t2, args.composition, args.tnew]
-    t1 = _load(args.t1, library_from_json)
-    t2 = _load(args.t2, library_from_json)
-    tnew = _load(args.tnew, library_from_json)
+    t1 = _read(args.t1, library_from_stream)
+    t2 = _read(args.t2, library_from_stream)
+    tnew = _read(args.tnew, library_from_stream)
     composition = _load(args.composition, composition_result_from_json)
     result = compose_libraries(t1, t2, composition.all_satisfied(), tnew)
     _emit(library_chunks(result), args.out)

@@ -3,17 +3,21 @@ CIG, test library and composed library result.
 
 Each writer gives the bytes ``json.dumps(document, indent=2)`` gives, plus a
 newline, without building a dict tree. Each reader reports malformed input as
-a ``SchemaError``.
+a ``SchemaError``. A test library is read a chunk and a case at a time, so
+neither its whole text nor its whole decoded tree is held; a library the
+chunked reader does not take is read again whole, so its errors are the ones
+a whole-file read reports.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TextIO
 
 from .cig import _KIND_ORDER, Cig, CigEdge, CigNode, StateRef
 from .components import Component, CompositionResult, CompositionStep, ServiceName, _service_set
-from .errors import InvalidIdentifier, SchemaError
+from .errors import CigError, InvalidIdentifier, SchemaError
 from .testlib import ComposedLibraryResult, Origin, TestCase, TestLibrary, TestStep
 
 # Every string goes through the escaper json.dumps itself uses.
@@ -295,12 +299,18 @@ def _step_from_dict(data: object, memo: dict) -> TestStep:
     actions = data.get("expected_actions", [])
     if not isinstance(actions, list):
         raise SchemaError("'expected_actions' must be an array")
+    # one object per equal step, keyed by its raw values: only strings pass
+    # TestStep's checks, and no other decoded value equals a string
+    key = (TestStep, data["event"], expected_state, *actions)
     try:
-        step = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
+        return memo[key]
+    except (KeyError, TypeError):  # new, or unhashable and so no step
+        pass
+    try:
+        step = memo[key] = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid test step: {exc}") from None
-    # one object per equal step, also under the raw dict's id, which the raw tree keeps unique
-    return memo.setdefault(id(data), memo.setdefault(step, step))
+    return step
 
 
 def _services(raw: list, memo: dict) -> frozenset:
@@ -333,7 +343,7 @@ def _case_from_dict(data: object, memo: dict) -> TestCase:
             id=data["id"],
             owner=_one(memo, str, data["owner"]),
             services=_services(data["services"], memo),
-            steps=tuple(memo.get(id(s)) or _step_from_dict(s, memo) for s in data["steps"]),
+            steps=tuple(_step_from_dict(s, memo) for s in data["steps"]),
             origin=origin,
         )
     except (TypeError, ValueError) as exc:
@@ -348,10 +358,6 @@ def _library_from_dict(data: object, memo: dict) -> TestLibrary:
     return TestLibrary(tuple(_case_from_dict(c, memo) for c in data["cases"]))
 
 
-def library_from_dict(data: object) -> TestLibrary:
-    return _library_from_dict(data, {})  # the memo is keyed by raw step ids, steps, service sets and (type, name)
-
-
 def library_to_json(document: TestLibrary | ComposedLibraryResult) -> str:
     return "".join(library_chunks(document))
 
@@ -359,8 +365,95 @@ def library_to_json(document: TestLibrary | ComposedLibraryResult) -> str:
 composed_result_to_json = library_to_json
 
 
+_CHUNK = 1 << 14  # characters per read of a library file
+_WS = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once  # the scanner json.loads uses, without the decode hook
+
+
+def _char(s: str, i: int) -> tuple[str, int]:
+    return s[i : i + 1], i + 1  # "" past the end
+
+
+def _stream_library(read: Callable[[int], str]) -> TestLibrary:
+    """The library in the text of which ``read(n)`` gives the next ``n``
+    characters (fewer only at its end), decoded and built one case at a time.
+    Raises ``ValueError`` on any text it does not take."""
+    text, at, ended = "", 0, False
+
+    def take(parse):
+        """``parse(text, i)`` at the first ``i`` past whitespace, once a
+        character follows the value or the text has ended."""
+        nonlocal text, at, ended
+        while True:
+            try:
+                value, end = parse(text, _WS(text, at).end())
+                if end < len(text) or ended:
+                    at = end
+                    return value
+            except (ValueError, StopIteration):  # a value the held text may cut off
+                if ended:
+                    raise ValueError("invalid JSON") from None
+            more = read(max(_CHUNK, len(text) - at))  # a value longer than the text held doubles it
+            if more:
+                text, at = text[at:] + more, 0
+            else:
+                ended = True
+
+    def items(close: str):
+        """Once per member of the object or array just opened, which ``close`` ends."""
+        char = take(_char) if take(lambda s, i: (s[i : i + 1], i)) == close else ","
+        while char == ",":
+            yield
+            char = take(_char)
+        if char != close:
+            raise ValueError(f"expected {close!r}")
+
+    cases, memo = None, {}
+    if take(_char) != "{":
+        raise ValueError("expected '{'")
+    for _ in items("}"):
+        key = take(_scan)
+        if type(key) is not str or take(_char) != ":":
+            raise ValueError("expected a key")
+        if key != "cases":
+            take(_scan)
+        elif cases is None and take(_char) == "[":
+            cases = [_case_from_dict(take(_scan), memo) for _ in items("]")]
+        else:  # not an array, or a second one, which json.loads lets replace the first
+            raise ValueError("expected one 'cases' array")
+    if cases is None or take(_char):
+        raise ValueError("expected one 'cases' array and nothing after the library")
+    return TestLibrary(tuple(cases))
+
+
+def _library_from_chunks(read: Callable[[int], str], whole: Callable[[], str]) -> TestLibrary:
+    try:
+        return _stream_library(read)
+    except (CigError, ValueError, RecursionError):
+        pass  # outside the handler, so that the partial load is freed first
+    return _library_from_dict(_loads(whole()), {})
+
+
+def library_from_stream(stream: TextIO) -> TestLibrary:
+    """The library in a text file, read ``_CHUNK`` characters and one case at a
+    time. On anything that reader does not take (a JSON, UTF-8, schema or
+    duplicate-id error, a second 'cases' key, data after the document) the
+    file is read again whole and decoded as one JSON text, so the result, or
+    the error with its message, line, column and whole-file byte offset, is a
+    whole-file read's."""
+    if not stream.seekable():  # a pipe cannot be read again
+        return library_from_json(stream.read())
+
+    def whole() -> str:
+        stream.seek(0)
+        return stream.read()
+
+    return _library_from_chunks(stream.read, whole)
+
+
 def library_from_json(text: str) -> TestLibrary:
-    return library_from_dict(_loads(text))
+    chunks = iter((text,))
+    return _library_from_chunks(lambda n: next(chunks, ""), lambda: text)
 
 
 def composed_result_from_json(text: str) -> ComposedLibraryResult:

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,9 @@ from cigkit import (
 )
 import cigkit.cig
 import cigkit.cli as cli
+import cigkit.documents
 from cigkit.cli import main, run
-from oracles import random_chart_set
+from oracles import oracle_library_from_json, random_chart_set
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 
@@ -454,6 +457,83 @@ def test_oversized_integer_in_a_library_exits_2(capsys, tmp_path):
     assert main(["tests", "compose", "--t1", big, "--t2", t2, "--composition", comp_path, "--tnew", gen_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cig: error: {big}: invalid JSON: Exceeds the limit") and err.count("\n") == 1
+
+
+def _authored(count: int, steps: int = 1) -> list:
+    """``count`` cases that tests compose keeps from the fixtures' composition, ``steps`` steps each."""
+    step = {"event": "insert", "expected_state": {"component": "VendingMachine", "state": "SingleCoin"}}
+    case = {"owner": "VendingMachine", "services": ["insert"], "steps": [step] * steps}
+    return [{"id": f"vm_{i}", **case} for i in range(count)]
+
+
+_CASES = json.dumps(_authored(3)).encode()
+_LONG = json.dumps({"cases": _authored(150)}, indent=2).encode()  # some 46,000 characters, nearly three _CHUNKs
+_CRLF = _LONG.replace(b"\n", b"\r\n")
+
+# a library file's bytes, and the exit code tests compose gives for it
+_LIBRARY_FILES = {
+    "invalid UTF-8 after the first chunk": (_LONG.replace(b'"vm_149"', b'"vm_\xff"'), 2),
+    "a UTF-8 BOM": (b"\xef\xbb\xbf" + _LONG, 2),
+    "a CRLF file with a syntax error": (_CRLF.replace(b'"vm_120"', b'x"vm_120"'), 2),
+    "a duplicate 'cases' key": (b'{"cases": [], "cases": ' + _CASES + b"}", 0),
+    "an escaped 'cases' key": (_LONG.replace(b'"cases"', b'"\\u0063ases"'), 0),
+    "extra top-level keys": (b'{"about": {"x": [1, 2.5, null]}, "cases": ' + _CASES + b', "more": "y"}', 0),
+    "a case longer than _CHUNK": (json.dumps({"cases": _authored(2, steps=300)}).encode(), 0),
+    "trailing data": (_LONG + b"\n{}", 2),
+    "an empty file": (b"", 2),
+    "a truncated file": (_LONG[: len(_LONG) // 2], 2),
+}
+
+
+def _whole_file_error(path) -> str:
+    """The error line for a library file read whole by the reference reader, or ""."""
+    try:
+        oracle_library_from_json(path.read_text(encoding="utf-8"))
+    except (CigError, UnicodeDecodeError) as exc:
+        return f"cig: error: {path}: {exc}\n"
+    return ""
+
+
+def _whole_file_read(read):
+    raise ValueError("read the file whole")
+
+
+@pytest.mark.parametrize("data, code", _LIBRARY_FILES.values(), ids=list(_LIBRARY_FILES))
+def test_tests_compose_reads_a_library_file_as_a_whole_file_read_does(capsys, tmp_path, monkeypatch, data, code):
+    _, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    library = tmp_path / "library.json"
+    library.write_bytes(data)
+    argv = ["tests", "compose", "--t1", str(library), "--t2", t2, "--composition", comp_path, "--tnew", gen_path]
+    streamed = main(argv), capsys.readouterr()
+    assert streamed[0] == code
+    assert streamed[1].err == _whole_file_error(library)
+    undecodable = data.find(b"\xff")
+    if undecodable >= 0:  # the offset counts bytes from the start of the file
+        assert f"in position {undecodable}:" in streamed[1].err
+    monkeypatch.setattr(cigkit.documents, "_stream_library", _whole_file_read)
+    assert (main(argv), capsys.readouterr()) == streamed
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_tests_compose_reads_a_library_from_a_pipe(capsys, tmp_path):
+    # a pipe cannot be read again for the whole-file error, so it is read whole
+    t1, t2, comp_path, gen_path = _tests_compose_files(tmp_path, capsys)
+    argv = ["tests", "compose", "--t2", t2, "--composition", comp_path, "--tnew", gen_path]
+    assert main([*argv, "--t1", t1]) == 0
+    expected = capsys.readouterr()
+    for data, code in ((Path(t1).read_bytes(), 0), (b'{"cases": []} {}', 2)):
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        try:
+            assert main([*argv, "--t1", f"/dev/fd/{read_end}"]) == code
+        finally:
+            os.close(read_end)
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured == expected
+        else:
+            assert captured.err == f"cig: error: /dev/fd/{read_end}: invalid JSON: Extra data: line 1 column 15 (char 14)\n"
 
 
 def test_tests_compose_rejects_a_composite_that_breaks_disjointness(capsys, tmp_path):

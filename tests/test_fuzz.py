@@ -4,21 +4,31 @@ Mutated chart text may raise only ``StatechartError``, and it parses to the
 same chart, or fails with the same error, message, line and column, as the
 character-walking reference parser in ``oracles.py``. Mutated library
 documents load to the same library, or fail with the same error and message,
-as the reference reader without a step memo, and every document decodes to
-the value ``json.loads`` gives. Mutated CIG, library and composition
+as the reference reader without a step memo, also when read from a file one,
+three or ``_CHUNK`` characters at a time, and every document decodes to the
+value ``json.loads`` gives. Mutated CIG, library and composition
 documents given to ``cli.run`` must never raise, and every run exits 0, 1
 or 2.
 """
 
+import io
 import json
 import random
 
 import pytest
 
 from conftest import DISPENSER, VENDING
-from cigkit import SchemaError, StatechartError, library_from_json, parse_statechart, serialize_statechart
+from cigkit import (
+    SchemaError,
+    StatechartError,
+    TestLibrary,
+    library_from_json,
+    parse_statechart,
+    serialize_statechart,
+)
+import cigkit.documents
 from cigkit.cli import run
-from cigkit.documents import _loads
+from cigkit.documents import _loads, library_from_stream
 from oracles import oracle_library_from_json, oracle_parse_statechart, random_chart
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
@@ -182,10 +192,15 @@ def _library_outcome(read, text: str):
         return type(exc), str(exc)
 
 
-def test_library_reader_matches_the_per_step_oracle():
+@pytest.fixture(scope="module")
+def library_texts() -> list[str]:
     rng = random.Random("step-memo-20101018")
     texts = [_library_text(rng, rng.randint(1, 12), bad=0.4) for _ in range(1500)]
-    texts += [_mutant(rng, _library_text(rng, rng.randint(1, 6), bad=0.0)) for _ in range(2500)]
+    return texts + [_mutant(rng, _library_text(rng, rng.randint(1, 6), bad=0.0)) for _ in range(2500)]
+
+
+def test_library_reader_matches_the_per_step_oracle(library_texts):
+    texts = library_texts
     outcomes = [
         (_library_outcome(library_from_json, text), _library_outcome(oracle_library_from_json, text))
         for text in texts
@@ -194,6 +209,34 @@ def test_library_reader_matches_the_per_step_oracle():
     assert not differences, f"{len(differences)} of {len(texts)} documents differ, first:\n{differences[0]}"
     loaded = sum(not isinstance(got, tuple) for got, _ in outcomes)
     assert loaded > 1000 and len(texts) - loaded > 1000  # both loads and errors are compared
+
+
+def _read_file(text: str) -> TestLibrary:
+    """The library in ``text``'s UTF-8 bytes, read as ``cig tests compose`` reads a file."""
+    return library_from_stream(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, cigkit.documents._CHUNK])
+def test_file_reader_matches_the_per_step_oracle(monkeypatch, library_texts, chunk):
+    monkeypatch.setattr(cigkit.documents, "_CHUNK", chunk)
+    differences = [
+        text
+        for text in library_texts
+        if _library_outcome(_read_file, text) != _library_outcome(oracle_library_from_json, text)
+    ]
+    assert not differences, f"{len(differences)} of {len(library_texts)} documents differ, first:\n{differences[0]}"
+
+
+def test_a_file_of_distinct_steps_read_in_small_chunks_keeps_each_step(monkeypatch):
+    # each raw case is freed once read, and CPython gives a later, different
+    # step its id: a step memo keyed by id() would hand back the freed step
+    monkeypatch.setattr(cigkit.documents, "_CHUNK", 3)
+    cases = [
+        {"id": f"c{i}", "owner": "A", "services": [], "steps": [{"event": f"e{i}", "expected_actions": [f"a{i}"]}]}
+        for i in range(2500)
+    ]
+    text = json.dumps({"cases": cases})
+    assert _read_file(text) == oracle_library_from_json(text)
 
 
 def test_equal_steps_are_one_object_within_a_load_and_never_across_loads():

@@ -16,6 +16,7 @@ import pytest
 
 import cigkit
 import cigkit.cli as cli
+import cigkit.documents
 from cigkit import (
     Origin,
     TestCase,
@@ -29,9 +30,9 @@ from cigkit import (
     library_to_json,
 )
 from cigkit.cli import run
-from cigkit.documents import library_chunks
+from cigkit.documents import library_chunks, library_from_stream
 from conftest import DISPENSER, VENDING
-from oracles import oracle_composed_json, oracle_library_json
+from oracles import oracle_composed_json, oracle_library_from_json, oracle_library_json
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 SRC = Path(cigkit.__file__).resolve().parent.parent
@@ -204,6 +205,53 @@ def test_loading_a_library_holds_less_than_twice_its_text(inputs):
     assert len(library) == 800
     assert peak < 2 * size, f"peak {peak / size:.2f} x the {size} text characters"
     assert current < 0.75 * size, f"{current / size:.2f} x the {size} text characters held"
+
+
+def _held_beyond_the_model(path: Path) -> tuple[TestLibrary, int]:
+    """The library in ``path``, and the bytes its load held at the peak beyond
+    what the library keeps and what building a TestLibrary of its cases takes."""
+    tracemalloc.start()
+    try:
+        with path.open(encoding="utf-8") as stream:
+            library = library_from_stream(stream)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        TestLibrary(list(library.cases))  # a list of the cases, their tuple and the duplicate-id check
+        model = tracemalloc.get_traced_memory()[1] - kept
+    finally:
+        tracemalloc.stop()
+    return library, peak - kept - model
+
+
+def test_loading_a_library_file_holds_a_few_chunks_beyond_the_library(tmp_path, inputs, vending_chart):
+    # the file is read a chunk and a case at a time: neither its text nor its
+    # decoded tree is held whole, so a four times longer file holds no more
+    longer = tmp_path / "t1_x4.json"
+    authored = _library(random.Random(4), "t1", vending_chart.component_name, vending_chart.states, 3200)
+    longer.write_text(library_to_json(authored), encoding="utf-8")
+    (library, extra), (long_library, long_extra) = map(_held_beyond_the_model, (inputs["t1"], longer))
+    assert (len(library), len(long_library)) == (800, 3200)
+    chunk = cigkit.documents._CHUNK
+    assert extra < 6 * chunk, f"{extra / chunk:.1f} chunks held beyond the library"
+    assert long_extra < extra + chunk, f"{long_extra / chunk:.1f} chunks held for a file 4x longer"
+
+
+def test_the_chunked_reader_serves_every_well_formed_library(monkeypatch, tmp_path, inputs):
+    # only the whole-file read, the fallback for what the chunked reader refuses, calls _loads
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"cases": []}', encoding="utf-8")
+    paths = [inputs["t1"], inputs["t2"], inputs["gen"], empty]
+    texts = [path.read_text(encoding="utf-8") for path in paths]
+    expected = [oracle_library_from_json(text) for text in texts]
+
+    def whole_file_read(text):
+        raise AssertionError("the library was read again whole")
+
+    monkeypatch.setattr(cigkit.documents, "_loads", whole_file_read)
+    for path, text, library in zip(paths, texts, expected):
+        with path.open(encoding="utf-8") as stream:
+            assert library_from_stream(stream) == library
+        assert library_from_json(text) == library
 
 
 def _first_of_each(values) -> bool:
