@@ -142,14 +142,14 @@ class Cig(_Frozen):
 
 def _scan(charts: ChartSet):
     """Each service's emitting and accepting states, and each state's outgoing
-    transitions, all in chart then state order."""
+    transitions with their indices, all in chart then state order."""
     emitters: dict[ServiceName, list[StateRef]] = {}
     acceptors: dict[ServiceName, list[StateRef]] = {}
-    outgoing: dict[StateRef, list[Transition]] = {}
+    outgoing: dict[StateRef, tuple[tuple[int, Transition], ...]] = {}
     for chart in charts:
         for state, pairs in chart.outgoing_index.items():
             ref = (chart.component_name, state)
-            outgoing[ref] = [t for _, t in pairs]
+            outgoing[ref] = pairs
             for service in {a.action for _, t in pairs for a in t.actions}:
                 emitters.setdefault(service, []).append(ref)
             for service in {t.event for _, t in pairs if t.event is not None}:
@@ -187,6 +187,16 @@ class _Analysis(NamedTuple):
     kinds: dict[StateRef, frozenset[Kind]]  # chart then state order
 
 
+# the five kind sets a state can have, one object each, keyed by (provides, requires)
+_REMOVED = frozenset({Kind.REMOVED})
+_KIND_SETS = {
+    (False, False): frozenset({Kind.INTERMEDIATE}),
+    (True, False): frozenset({Kind.PROVIDED}),
+    (False, True): frozenset({Kind.REQUIRED}),
+    (True, True): frozenset({Kind.PROVIDED, Kind.REQUIRED}),
+}
+
+
 def _analyze(charts: ChartSet) -> _Analysis:
     """Cross services, switching states and the classification, all derived
     from one scan of the charts' transitions."""
@@ -196,24 +206,17 @@ def _analyze(charts: ChartSet) -> _Analysis:
     before = _cross(emitters, acceptors, frozenset())
     removed = frozenset(
         ref
-        for ref, transitions in outgoing.items()
-        if transitions
-        and all(t.event is None and any(a.action in before for a in t.actions) for t in transitions)
+        for ref, pairs in outgoing.items()
+        if pairs
+        and all(t.event is None and any(a.action in before for a in t.actions) for _, t in pairs)
     )
     cross = _cross(emitters, acceptors, removed)
     provided = {ref for sides in cross.values() for ref in sides.emitters}
     required = {ref for sides in cross.values() for ref in sides.acceptors}
-    kinds: dict[StateRef, frozenset[Kind]] = {}
-    for ref in outgoing:
-        if ref in removed:
-            kinds[ref] = frozenset({Kind.REMOVED})
-            continue
-        found = set()
-        if ref in provided:
-            found.add(Kind.PROVIDED)
-        if ref in required:
-            found.add(Kind.REQUIRED)
-        kinds[ref] = frozenset(found) if found else frozenset({Kind.INTERMEDIATE})
+    kinds = {
+        ref: _REMOVED if ref in removed else _KIND_SETS[ref in provided, ref in required]
+        for ref in outgoing
+    }
     return _Analysis(bool(before), removed, cross, kinds)
 
 

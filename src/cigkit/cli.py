@@ -83,7 +83,12 @@ def _load(path: str, parse):
 
 
 def _chart_set(paths: list[str]) -> ChartSet:
-    return ChartSet(tuple(_load(path, parse_statechart) for path in paths))
+    """The charts in ``paths``; a chart that both accepts and emits a name is malformed input in its file."""
+    charts = ChartSet(tuple(_load(path, parse_statechart) for path in paths))
+    for path, chart in zip(paths, charts):
+        with _about(path):
+            extract_interfaces(chart)
+    return charts
 
 
 def _emit(chunks: Iterable[str], out: str | None):
@@ -118,10 +123,7 @@ def cmd_compose(args, report: RunReport):
     report.inputs = list(args.files)
     if len(args.files) < 2:
         raise CigError("compose needs at least two statechart files")
-    components = []
-    for path, chart in zip(args.files, _chart_set(args.files)):
-        with _about(path):
-            components.append(extract_interfaces(chart))
+    components = [extract_interfaces(chart) for chart in _chart_set(args.files)]
     _emit([composition_result_to_json(compose_many(components))], args.out)
 
 

@@ -210,7 +210,7 @@ def cig_from_json(text: str) -> Cig:
             raise SchemaError(f"CIG document is missing key {key!r}")
         if not isinstance(data[key], list):
             raise SchemaError(f"CIG {key!r} must be an array")
-    memo: dict = {}  # keyed by raw ref ids, kind sets and (ServiceName, name)
+    memo: dict = {}  # keyed by raw ref ids, kind sets, and (ServiceName or str, name)
     try:
         nodes = []
         for raw in data["nodes"]:
@@ -221,7 +221,7 @@ def cig_from_json(text: str) -> Cig:
                 raise SchemaError(f"invalid kind codes in node {raw.get('state')!r}")
             kinds = frozenset(_CODE_TO_KIND[k] for k in kinds)
             kinds = memo.setdefault(kinds, kinds)
-            nodes.append(CigNode(component=raw["component"], state=raw["state"], kinds=kinds))
+            nodes.append(CigNode(component=_one(memo, str, raw["component"]), state=_one(memo, str, raw["state"]), kinds=kinds))
         edges = []
         for raw in data["edges"]:
             if not isinstance(raw, dict) or not {"from", "to", "service"} <= raw.keys():

@@ -169,10 +169,11 @@ class _Line:
     """The tokens of one declaration line with their 1-based columns, read in
     order up to the empty token one column past the line's end."""
 
-    def __init__(self, content: str, lineno: int):
+    def __init__(self, content: str, lineno: int, shared: dict):
         self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
         self.lineno = lineno
         self.i = 0
+        self.shared = shared
 
     def at_end(self) -> bool:
         return not self.tokens[self.i][0]
@@ -186,9 +187,19 @@ class _Line:
 
     def take_identifier(self, what: str) -> tuple[str, int]:
         word, column = self.take_word(what)
-        if not _IDENTIFIER_RE.match(word):
-            raise ParseError(f"invalid {what}: {word!r}", self.lineno, column)
-        return word, column
+        if word not in self.shared:  # its plain-string keys are all names that passed this check
+            if not _IDENTIFIER_RE.match(word):
+                raise ParseError(f"invalid {what}: {word!r}", self.lineno, column)
+            self.shared[word] = word
+        return self.shared[word], column
+
+    def one(self, kind: type, *fields):
+        """The parse's one ``kind(*fields)`` for each distinct ``fields``; the
+        key holds ``kind``, so a ServiceName stays apart from its equal string."""
+        key = (kind, *fields)
+        if key not in self.shared:
+            self.shared[key] = kind(*fields)
+        return self.shared[key]
 
     def expect(self, literal: str):
         word, column = self.take_word(f"'{literal}'")
@@ -205,24 +216,24 @@ class _Line:
         if "[" in text:
             raise ParseError("guard text may not contain '['", self.lineno, column)
         self.i += 1
-        return text
+        return self.one(str, text)
 
     def take_action(self) -> ActionEmission:
         name, name_column = self.take_identifier("action name")
         token, column = self.tokens[self.i]
-        if token[:1] != "(" or column != name_column + len(name):
-            return ActionEmission(action=name)
-        if token[-1] != ")":
-            raise ParseError("unterminated parameter list, missing ')'", self.lineno, column)
-        self.i += 1
-        inner = token[1:-1]
-        params = tuple(raw.strip() for raw in inner.split(",")) if inner.strip() else ()
-        for param in params:
-            try:
-                _check_param_token(param)
-            except ValueError:
-                raise ParseError(f"invalid parameter token {param!r}", self.lineno, column) from None
-        return ActionEmission(action=name, params=params)
+        params = ()
+        if token[:1] == "(" and column == name_column + len(name):
+            if token[-1] != ")":
+                raise ParseError("unterminated parameter list, missing ')'", self.lineno, column)
+            self.i += 1
+            inner = token[1:-1]
+            params = tuple(raw.strip() for raw in inner.split(",")) if inner.strip() else ()
+            for param in params:
+                try:
+                    _check_param_token(param)
+                except ValueError:
+                    raise ParseError(f"invalid parameter token {param!r}", self.lineno, column) from None
+        return self.one(ActionEmission, self.one(ServiceName, name), params)
 
     def finish(self):
         token, column = self.tokens[self.i]
@@ -243,7 +254,7 @@ def _parse_transition_clauses(line: _Line) -> tuple[Transition, int, int]:
         if word == "on":
             if stage >= 1:
                 raise ParseError("'on' must appear once, before 'guard' and 'do'", line.lineno, column)
-            event, _ = line.take_identifier("event name")
+            event = line.one(ServiceName, line.take_identifier("event name")[0])
             stage = 1
         elif word == "guard":
             if stage >= 2:
@@ -267,6 +278,7 @@ def parse_statechart(text: str) -> Statechart:
     state or a transition endpoint was never declared, all with the offending
     line number.
     """
+    shared: dict = {}  # this parse's one object per distinct name, service, action emission and guard
     component_name: str | None = None
     states: list[str] = []
     state_set: set[str] = set()
@@ -276,7 +288,7 @@ def parse_statechart(text: str) -> Statechart:
     ended = False
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = _Line(_UNCOMMENTED.match(raw).group(), lineno)
+        line = _Line(_UNCOMMENTED.match(raw).group(), lineno, shared)
         if line.at_end():
             continue
         keyword, column = line.take_word("a declaration")

@@ -265,11 +265,12 @@ def generate_new_tests(
         raise SchemaError(f"CIG does not match its statecharts: {difference}")
     paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
     setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
+    finals = _FinalSteps(charts)
     cases = []
     for edge in cig.edges:
         emitter_chart = charts.get(edge.source[0])
         case_id = _GENERATED_PREFIX + "_".join((*edge.source, str(edge.service), *edge.target))
-        final = _final_step(case_id, edge, emitter_chart, charts.get(edge.target[0]), warn)
+        final = finals.step(case_id, edge, warn)
         setup = setup_by_source.get(edge.source)
         if setup is None:
             component, state = edge.source
@@ -295,38 +296,49 @@ def generate_new_tests(
     return TestLibrary(tuple(cases))
 
 
-def _final_step(
-    case_id: str,
-    edge: CigEdge,
-    emitter_chart: Statechart,
-    acceptor_chart: Statechart,
-    warn: Callable[[str], None] | None,
-) -> TestStep:
-    source_state = edge.source[1]
-    emitting = [
-        t
-        for t in emitter_chart.outgoing(source_state)
-        if t.event is not None and any(a.action == edge.service for a in t.actions)
-    ]
-    if not emitting:
+class _FinalSteps:
+    """The last step of each edge's case, within one generation: each
+    providing state's trigger and each requiring state's landing are found
+    once per service, and equal final steps are one object."""
+
+    def __init__(self, charts: ChartSet):
+        self.charts = charts
+        self.triggers: dict[tuple[StateRef, ServiceName], tuple[ServiceName, tuple[ServiceName, ...]]] = {}
+        self.landings: dict[tuple[StateRef, ServiceName], tuple[int, StateRef | None]] = {}
+        self.steps: dict[tuple, TestStep] = {}
+
+    def step(self, case_id: str, edge: CigEdge, warn: Callable[[str], None] | None) -> TestStep:
+        source, target = (edge.source, edge.service), (edge.target, edge.service)
+        if source not in self.triggers:
+            self.triggers[source] = self._trigger(*source)
+        if target not in self.landings:
+            self.landings[target] = self._landing(*target)
+        count, expected_state = self.landings[target]
+        if expected_state is None and warn is not None:
+            warn(
+                f"{case_id}: expected state omitted, {count} transitions "
+                f"accept {edge.service!r} in state {edge.target[1]!r}"
+            )
+        key = (*self.triggers[source], expected_state)
+        if key not in self.steps:
+            self.steps[key] = TestStep(key[0], expected_state, key[1])
+        return self.steps[key]
+
+    def _trigger(self, state: StateRef, service: ServiceName) -> tuple[ServiceName, tuple[ServiceName, ...]]:
+        """The event and the emitted actions of the first triggered transition
+        of ``state`` that emits ``service``."""
+        chart = self.charts.get(state[0])
+        for _, t in chart.outgoing_index.get(state[1], ()):
+            if t.event is not None and any(a.action == service for a in t.actions):
+                return t.event, tuple(a.action for a in t.actions)
         raise UnreachableProvider(
-            f"state {source_state!r} of {emitter_chart.component_name!r} has no "
-            f"triggered transition emitting {edge.service!r}"
+            f"state {state[1]!r} of {chart.component_name!r} has no "
+            f"triggered transition emitting {service!r}"
         )
-    trigger = emitting[0]
-    accepting = [
-        t for t in acceptor_chart.outgoing(edge.target[1]) if t.event == edge.service
-    ]
-    expected_state = None
-    if len(accepting) == 1:
-        expected_state = (acceptor_chart.component_name, accepting[0].target)
-    elif warn is not None:
-        warn(
-            f"{case_id}: expected state omitted, {len(accepting)} transitions "
-            f"accept {edge.service!r} in state {edge.target[1]!r}"
-        )
-    return TestStep(
-        event=trigger.event,
-        expected_state=expected_state,
-        expected_actions=tuple(a.action for a in trigger.actions),
-    )
+
+    def _landing(self, state: StateRef, service: ServiceName) -> tuple[int, StateRef | None]:
+        """How many transitions of ``state`` accept ``service``, and where
+        the one that does lands, if exactly one does."""
+        chart = self.charts.get(state[0])
+        accepting = [t for _, t in chart.outgoing_index.get(state[1], ()) if t.event == service]
+        return len(accepting), (chart.component_name, accepting[0].target) if len(accepting) == 1 else None

@@ -119,6 +119,25 @@ def test_compose_rejects_ill_formed_component(capsys, tmp_path):
     assert "both accepts and emits" in capsys.readouterr().err
 
 
+def test_a_chart_that_both_accepts_and_emits_a_name_is_malformed_input_in_its_file(capsys, tmp_path):
+    # compose, cig and tests gen check each chart's interface as they load it,
+    # so tests gen blames the chart, not the CIG, even one the CIG does not name
+    cig_path = str(tmp_path / "cig.json")
+    assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
+    text = VENDING.read_text(encoding="utf-8").replace("\nend\n", "\ntransition NoCoins -> NoCoins on setCredit\nend\n")
+    ill = _write(tmp_path, "vending.sc", text)
+    other = _write(tmp_path, "other.sc", "component Other\nstate X\ninitial X\ntransition X -> X on ping do ping\nend\n")
+    runs = [
+        (["compose", ill, str(DISPENSER)], ill, "'VendingMachine' both accepts and emits: setCredit"),
+        (["cig", ill, str(DISPENSER)], ill, "'VendingMachine' both accepts and emits: setCredit"),
+        (["tests", "gen", "--cig", cig_path, ill, str(DISPENSER)], ill, "'VendingMachine' both accepts and emits: setCredit"),
+        (["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS, other], other, "'Other' both accepts and emits: ping"),
+    ]
+    for argv, path, what in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"cig: error: {path}: component {what}\n")
+
+
 def test_compose_rejects_duplicate_component_names(capsys):
     assert main(["compose", str(VENDING), str(VENDING)]) == 2
     assert "duplicate component" in capsys.readouterr().err

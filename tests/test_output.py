@@ -1,8 +1,8 @@
 """How commands write their results: in batches, the same bytes to stdout and
 to ``--out``, nothing when they fail first, one error line when stdout is
 closed, and never the whole composed library held in memory several times;
-and how little memory loading an authored library takes, with one object
-for each distinct value it holds."""
+and how little memory loading an authored library, parsing charts, building
+a CIG or generating tests takes, with one object for each distinct value."""
 
 import io
 import os
@@ -18,21 +18,27 @@ import cigkit
 import cigkit.cli as cli
 import cigkit.documents
 from cigkit import (
+    ChartSet,
     Origin,
     TestCase,
     TestLibrary,
     TestStep,
+    build_cig,
     cig_from_json,
+    classify_states,
     compose_libraries,
     composed_result_to_json,
     composition_result_from_json,
+    generate_new_tests,
     library_from_json,
     library_to_json,
+    parse_statechart,
+    serialize_statechart,
 )
 from cigkit.cli import run
 from cigkit.documents import library_chunks, library_from_stream
 from conftest import DISPENSER, VENDING
-from oracles import oracle_composed_json, oracle_library_from_json, oracle_library_json
+from oracles import oracle_composed_json, oracle_library_from_json, oracle_library_json, random_chart_set
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 SRC = Path(cigkit.__file__).resolve().parent.parent
@@ -271,6 +277,86 @@ def test_a_load_holds_one_object_per_distinct_value(inputs):
     assert len(set(endpoints)) < len(endpoints) and _first_of_each(endpoints)
     services = [edge.service for edge in cig.edges]
     assert len(set(services)) < len(services) and _first_of_each(services)
+
+
+def _parsed_values(chart):
+    """What a parsed chart holds, each kind of value apart: state names
+    (declared, initial, every transition endpoint), events, actions, action
+    emissions and guards."""
+    transitions = chart.transitions
+    return (
+        [*chart.states, chart.initial, *(s for t in transitions for s in (t.source, t.target))],
+        [t.event for t in transitions if t.event is not None],
+        [a.action for t in transitions for a in t.actions],
+        [a for t in transitions for a in t.actions],
+        [t.guard for t in transitions if t.guard is not None],
+    )
+
+
+def test_a_parse_and_a_build_hold_one_object_per_distinct_value(inputs, vending_chart, dispenser_chart):
+    drawn = random_chart_set(random.Random(1018), 4)
+    texts = [serialize_statechart(chart) for chart in (vending_chart, dispenser_chart, *drawn)]
+    for text in texts:
+        for values in _parsed_values(parse_statechart(text)):
+            assert _first_of_each(values), (values, text)
+    names = _parsed_values(parse_statechart(texts[0]))[0]
+    assert len(set(names)) < len(names)  # endpoints repeat the declared names
+    fixtures = ChartSet(tuple(map(parse_statechart, texts[:2])))
+    kinds = list(classify_states(fixtures).values())
+    assert len(set(kinds)) < len(kinds) and _first_of_each(kinds)
+    assert _first_of_each(node.kinds for node in build_cig(fixtures).nodes)
+    cig = cig_from_json(inputs["cig"].read_text(encoding="utf-8"))
+    strings = [s for node in cig.nodes for s in (node.component, node.state)]
+    assert len(set(strings)) < len(strings) and _first_of_each(strings)
+
+
+def _ring_text(index: int, count: int, states: int) -> str:
+    """A chart of a ring like the benchmark's wide one: each state steps on
+    two events, one guarded, and a few emit names its successor accepts."""
+    own, previous = f"c{index:02d}", f"c{(index - 1) % count:02d}"
+    names = [f"L{i // 10:02d}S{i % 10:02d}" for i in range(states)]
+    lines = [f"component C{index:02d}", *(f"state {s}" for s in names), f"initial {names[0]}"]
+    for i, state in enumerate(names):
+        lines.append(f"transition {state} -> {names[(i + 1) % states]} on {own}_a")
+        lines.append(f"transition {state} -> {names[(i * 7 + 3) % states]} on {own}_b guard [n > 0]")
+        if i % 10 == 1:
+            lines.append(f"transition {state} -> {names[0]} on {own}_fire do {own}s{i % 2}(1,2..max)")
+        if i % 10 == 2:
+            lines.append(f"transition {state} -> {names[0]} on {previous}s{i % 2}")
+    return "\n".join([*lines, "end"]) + "\n"
+
+
+def test_a_parsed_chart_set_holds_a_few_times_its_text():
+    # a parse keeps one string per distinct name and guard, one ServiceName per
+    # service and one ActionEmission per emission, not one per occurrence
+    texts = [_ring_text(i, 16, 30) for i in range(16)]
+    size = sum(map(len, texts))
+    tracemalloc.start()
+    try:
+        charts = ChartSet(tuple(map(parse_statechart, texts)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(chart.transitions) for chart in charts) >= 16 * 60
+    assert held < 6 * size, f"{held / size:.2f} x the {size} text characters held"
+
+
+def test_a_generation_holds_one_object_per_distinct_final_step():
+    # 10 emitters x 10 acceptors of one service; the cases end in one of three
+    # landing states or, for the ambiguous acceptor, none, with each edge's warning
+    emitter = ["component E", *(f"state E{i}" for i in range(10)), "initial E0"]
+    emitter += [f"transition E{i} -> E{(i + 1) % 10} on next" for i in range(10)]
+    emitter += [f"transition E{i} -> E0 on go do s" for i in range(10)]
+    acceptor = ["component A", *(f"state A{i}" for i in range(10)), "initial A0"]
+    acceptor += [f"transition A{i} -> A{i % 3} on s" for i in range(10)] + ["transition A9 -> A1 on s"]
+    charts = ChartSet(tuple(parse_statechart("\n".join([*lines, "end"])) for lines in (emitter, acceptor)))
+    warnings = []
+    library = generate_new_tests(build_cig(charts), charts, warn=warnings.append)
+    finals = [case.steps[-1] for case in library]
+    assert len(finals) == 100 and len(set(finals)) == 4 and _first_of_each(finals)
+    assert warnings == [
+        f"tnew_E_E{i}_s_A_A9: expected state omitted, 2 transitions accept 's' in state 'A9'" for i in range(10)
+    ]
 
 
 @pytest.mark.parametrize("composed", [False, True], ids=["library", "composed"])
