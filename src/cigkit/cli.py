@@ -17,7 +17,6 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 from .cig import Cig, Kind, build_cig, cig_to_dot, format_kinds
 from .components import compose_many
@@ -94,7 +93,7 @@ def _chart_set(paths: list[str]) -> ChartSet:
 def _emit(chunks: Iterable[str], out: str | None):
     """Write ``chunks`` as they come to ``out``, or stdout when None, ``_BATCH`` at a time."""
     try:
-        target = contextlib.nullcontext(sys.stdout) if out is None else Path(out).open("w", encoding="utf-8")
+        target = contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
         with target as stream:
             batch, size = [], 0
             for chunk in chunks:

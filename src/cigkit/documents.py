@@ -2,11 +2,11 @@
 CIG, test library and composed library result.
 
 Each writer gives the bytes ``json.dumps(document, indent=2)`` gives, plus a
-newline, without building a dict tree. Each reader reports malformed input as
-a ``SchemaError``. A test library is read a chunk and a case at a time, so
-neither its whole text nor its whole decoded tree is held; a library the
-chunked reader does not take is read again whole, so its errors are the ones
-a whole-file read reports.
+newline, without building a dict tree. Each reader decodes with ``json.loads``,
+reports malformed input as a ``SchemaError`` and shares equal values, by value,
+in one memo per load. A test library is read a chunk and a case at a time, not
+held whole as text or tree; a library that reader does not take is read again
+whole, so its errors are the ones a whole-file read reports.
 """
 
 from __future__ import annotations
@@ -27,24 +27,12 @@ _RESULT_KEYS = ("retained", "removed", "generated", "final")
 
 
 def _loads(text: str) -> object:
-    """Parse JSON text, reporting malformed input as a SchemaError.
-
-    Besides syntax errors (``JSONDecodeError``), ``json.loads`` raises
-    ``RecursionError`` on deeply nested arrays or objects and ``ValueError``
-    on an integer literal longer than the interpreter's digit limit.
-    """
-    shared: dict[tuple, dict] = {}  # the first dict of each key, which keeps alive the dicts whose ids it holds
-    def share(obj: dict) -> dict:
-        key: list = [*obj]  # the names in order, then the values, type-exact: 1, true and "1" never merge
-        for value in obj.values():
-            if type(value) is list and all(type(v) is str for v in value):
-                value = tuple(value)
-            elif type(value) not in (str, dict):
-                return obj
-            key.append(id(value) if type(value) is dict else value)
-        return shared.setdefault(tuple(key), obj)
+    """Parse JSON text, reporting malformed input as a SchemaError: besides
+    syntax errors, ``json.loads`` raises ``RecursionError`` on deeply nested
+    arrays or objects and ``ValueError`` on an integer literal longer than the
+    interpreter's digit limit."""
     try:
-        return json.loads(text, object_hook=share)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
 
@@ -190,12 +178,12 @@ def _one(memo: dict, kind: type, value: object) -> object:
 
 
 def _ref_from_dict(data: object, what: str, memo: dict) -> StateRef:
-    """One tuple for each raw object, which decoding shares among equal refs."""
-    if id(data) not in memo:
-        if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
-            raise SchemaError(f"{what} must be an object with 'component' and 'state'")
-        memo[id(data)] = (data["component"], data["state"])
-    return memo[id(data)]
+    """The load's one tuple for each (component, state) pair of strings, a key
+    no ``_one`` key equals; any other pair is passed on for the model to report."""
+    if not isinstance(data, dict) or not {"component", "state"} <= data.keys():
+        raise SchemaError(f"{what} must be an object with 'component' and 'state'")
+    ref = (data["component"], data["state"])
+    return memo.setdefault(ref, ref) if type(ref[0]) is type(ref[1]) is str else ref
 
 
 _CODE_TO_KIND = {k.value: k for k in _KIND_ORDER}
@@ -210,7 +198,7 @@ def cig_from_json(text: str) -> Cig:
             raise SchemaError(f"CIG document is missing key {key!r}")
         if not isinstance(data[key], list):
             raise SchemaError(f"CIG {key!r} must be an array")
-    memo: dict = {}  # keyed by raw ref ids, kind sets, and (ServiceName or str, name)
+    memo: dict = {}  # keyed by (component, state) refs, kind sets, and (ServiceName or str, name)
     try:
         nodes = []
         for raw in data["nodes"]:
@@ -306,6 +294,8 @@ def _step_from_dict(data: object, memo: dict) -> TestStep:
         return memo[key]
     except (KeyError, TypeError):  # new, or unhashable and so no step
         pass
+    if expected_state:  # a new step holds the load's one string per name
+        expected_state = tuple(_one(memo, str, name) for name in expected_state)
     try:
         step = memo[key] = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
     except (TypeError, ValueError) as exc:
@@ -367,7 +357,7 @@ composed_result_to_json = library_to_json
 
 _CHUNK = 1 << 14  # characters per read of a library file
 _WS = json.decoder.WHITESPACE.match
-_scan = json.JSONDecoder().scan_once  # the scanner json.loads uses, without the decode hook
+_scan = json.JSONDecoder().scan_once  # the scanner json.loads uses, from any index
 
 
 def _char(s: str, i: int) -> tuple[str, int]:

@@ -5,6 +5,7 @@ and how little memory loading an authored library, parsing charts, building
 a CIG or generating tests takes, with one object for each distinct value."""
 
 import io
+import json
 import os
 import random
 import subprocess
@@ -195,10 +196,11 @@ def test_tests_compose_holds_less_than_its_output_in_memory(tmp_path, inputs):
 
 
 def test_loading_a_library_holds_less_than_twice_its_text(inputs):
-    # equal step objects decode to one dict, so the decoded tree follows the
-    # library's few distinct steps instead of its 2,400 written ones; the loaded
-    # cases then share their owner, service names and service sets, so once the
-    # text is freed the library holds less than it
+    # the library is read a case at a time, and equal steps load as one
+    # TestStep, so the load follows the library's few distinct steps instead
+    # of its 2,400 written ones; the loaded cases share their owner, service
+    # names, service sets and state names, so once the text is freed the
+    # library holds less than it
     text = inputs["t1"].read_text(encoding="utf-8")
     size = len(text)
     tracemalloc.start()
@@ -272,11 +274,24 @@ def test_a_load_holds_one_object_per_distinct_value(inputs):
     assert len(set(sets)) < len(sets) and _first_of_each(sets)
     assert _first_of_each(case.owner for case in library)
     assert _first_of_each(name for services in sets for name in services)
-    cig = cig_from_json(inputs["cig"].read_text(encoding="utf-8"))
+    states = [step.expected_state for case in library for step in case.steps]
+    names = [name for state in states if state is not None for name in state]
+    assert len(set(names)) < len(names) and _first_of_each(names)
+    text = inputs["cig"].read_text(encoding="utf-8")
+    cig = cig_from_json(text)
     endpoints = [ref for edge in cig.edges for ref in (edge.source, edge.target)]
     assert len(set(endpoints)) < len(endpoints) and _first_of_each(endpoints)
     services = [edge.service for edge in cig.edges]
     assert len(set(services)) < len(services) and _first_of_each(services)
+    # a repeated endpoint spelled with its keys in the other order, and with an extra key
+    data = json.loads(text)
+    ends = [edge["to"] for edge in data["edges"]]
+    target = max(ends, key=ends.count)
+    repeats = [edge for edge in data["edges"] if edge["to"] == target]
+    repeats[1]["to"] = dict(reversed(target.items()))
+    repeats[2]["to"] = {**target, "note": "x"}
+    respelled = [edge.target for edge in cig_from_json(json.dumps(data)).edges]
+    assert len(repeats) == 3 and respelled.count(tuple(target.values())) == 3 and _first_of_each(respelled)
 
 
 def _parsed_values(chart):
