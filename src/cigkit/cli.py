@@ -7,16 +7,17 @@ test ids, unreachable providing states), 2 on unreadable or malformed input.
 An error found inside one input file is malformed input: its message names
 the file and it exits 2, even when the same error between two files exits 1
 (a library that lists one test id twice, say). ``run`` is the one place that
-turns an error into a message and an exit code.
+turns an error into a message and an exit code. It reads a well-formed command
+line without argparse, which it imports only for help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from .cig import Cig, Kind, build_cig, cig_to_dot, format_kinds
 from .components import compose_many
@@ -171,57 +172,114 @@ def cmd_tests_compose(args, report: RunReport):
     _emit(library_chunks(result), args.out)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _files(help: str) -> dict:
+    return {"nargs": "+", "metavar": "FILE", "help": help}
+
+
+_OUT = {"metavar": "PATH", "help": "write the result here instead of stdout"}
+
+# Each command: its words, handler and help, then its arguments as
+# ``add_argument`` keywords by name, in the order argparse names missing ones
+# in a usage error. ``_build_parser`` and ``_parse_fast`` both read this table.
+_COMMANDS = (
+    (("parse",), cmd_parse, "validate statecharts and print their canonical form", {
+        "files": _files("statechart files"),
+    }),
+    (("compose",), cmd_compose, "compose the components' interfaces", {
+        "files": _files("statechart files, fold order"),
+        "--out": _OUT,
+    }),
+    (("cig",), cmd_cig, "build the component interaction graph", {
+        "files": _files("statechart files"),
+        "--format": {"choices": ("dot", "json"), "default": "json", "help": "output format"},
+        "--out": _OUT,
+        "--report": {
+            "action": "store_true", "default": False, "help": "print the state classification table to stderr"
+        },
+    }),
+    (("tests", "gen"), cmd_tests_gen, "generate one test case per interaction edge", {
+        "--cig": {"required": True, "dest": "cig_path", "metavar": "PATH", "help": "CIG JSON file"},
+        "files": _files("the statechart files the CIG was built from"),
+        "--out": _OUT,
+    }),
+    (("tests", "compose"), cmd_tests_compose, "apply the test-library composition law", {
+        "--t1": {"required": True, "metavar": "PATH", "help": "first component's library JSON"},
+        "--t2": {"required": True, "metavar": "PATH", "help": "second component's library JSON"},
+        "--composition": {"required": True, "metavar": "PATH", "help": "composition result JSON (supplies S)"},
+        "--tnew": {"required": True, "metavar": "PATH", "help": "generated library JSON"},
+        "--out": _OUT,
+    }),
+)
+_GROUP_HELP = {"tests": "generate or compose test libraries"}
+
+
+def _build_parser():
+    import argparse  # with gettext, some 0.3 MB: only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="cig",
         description="Component interaction graphs and test-suite composition "
         "for statechart-specified components.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="validate statecharts and print their canonical form")
-    p.add_argument("files", nargs="+", metavar="FILE", help="statechart files")
-    p.set_defaults(handler=cmd_parse)
-
-    p = sub.add_parser("compose", help="compose the components' interfaces")
-    p.add_argument("files", nargs="+", metavar="FILE", help="statechart files, fold order")
-    p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
-    p.set_defaults(handler=cmd_compose)
-
-    p = sub.add_parser("cig", help="build the component interaction graph")
-    p.add_argument("files", nargs="+", metavar="FILE", help="statechart files")
-    p.add_argument("--format", choices=("dot", "json"), default="json", help="output format")
-    p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
-    p.add_argument(
-        "--report", action="store_true", help="print the state classification table to stderr"
-    )
-    p.set_defaults(handler=cmd_cig)
-
-    tests = sub.add_parser("tests", help="generate or compose test libraries")
-    tsub = tests.add_subparsers(dest="tests_command", required=True)
-
-    p = tsub.add_parser("gen", help="generate one test case per interaction edge")
-    p.add_argument("--cig", required=True, dest="cig_path", metavar="PATH", help="CIG JSON file")
-    p.add_argument("files", nargs="+", metavar="FILE", help="the statechart files the CIG was built from")
-    p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
-    p.set_defaults(handler=cmd_tests_gen)
-
-    p = tsub.add_parser("compose", help="apply the test-library composition law")
-    p.add_argument("--t1", required=True, metavar="PATH", help="first component's library JSON")
-    p.add_argument("--t2", required=True, metavar="PATH", help="second component's library JSON")
-    p.add_argument(
-        "--composition", required=True, metavar="PATH", help="composition result JSON (supplies S)"
-    )
-    p.add_argument("--tnew", required=True, metavar="PATH", help="generated library JSON")
-    p.add_argument("--out", metavar="PATH", help="write the result here instead of stdout")
-    p.set_defaults(handler=cmd_tests_compose)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, handler, help, arguments in _COMMANDS:
+        group = words[:-1]
+        if group not in subparsers:
+            p = subparsers[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            subparsers[group] = p.add_subparsers(dest=f"{group[0]}_command", required=True)
+        p = subparsers[group].add_parser(words[-1], help=help)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _parse_fast(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` returns, for a command line
+    whose result is certain: the command words, then the command's options,
+    each spelled in full at most once with a value that does not start with
+    ``-``, and its files in one run. None for any other command line (help,
+    ``--opt=value``, abbreviations, ``--``, repeats, every usage error), which
+    argparse then parses, or prints and exits on."""
+    for words, handler, _, arguments in _COMMANDS:
+        if argv[: len(words)] == list(words):
+            break
+    else:
+        return None
+    files, given, tokens, run_over = [], {}, iter(argv[len(words) :]), False
+    for token in tokens:
+        if not token.startswith("-"):
+            if run_over:  # nargs="+" takes one run of files, and the rest are extra
+                return None
+            files.append(token)
+            continue
+        keywords = arguments.get(token)
+        if keywords is None or token in given:
+            return None
+        run_over = bool(files)
+        if keywords.get("action") == "store_true":
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # no value at the end declines as one starting with -
+        if value.startswith("-") or ("choices" in keywords and value not in keywords["choices"]):
+            return None
+        given[token] = value
+    if files:
+        given["files"] = files
+    args = {"command": words[0], "handler": handler}
+    if len(words) > 1:
+        args[f"{words[0]}_command"] = words[1]
+    for name, keywords in arguments.items():
+        if name not in given and (name == "files" or keywords.get("required")):
+            return None
+        args[keywords.get("dest", name.lstrip("-"))] = given.pop(name, keywords.get("default"))
+    return None if given else SimpleNamespace(**args)  # given keeps files for a command without them
 
 
 def run(argv=None) -> RunReport:
     """Parse arguments and execute; returns the report instead of exiting."""
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv) or _build_parser().parse_args(argv)
     command = args.command if args.command != "tests" else f"tests {args.tests_command}"
     report = RunReport(command=command)
     try:

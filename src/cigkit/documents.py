@@ -83,11 +83,11 @@ def component_from_dict(data: object) -> Component:
     internal_map = data.get("internal_map", {})
     if not isinstance(internal_map, dict):
         raise SchemaError("component 'internal_map' must be an object")
-    try:
+    try:  # names are checked in document order; an unhashable one fails in fromkeys, as in a set
         return Component(
             name=name,
-            provided=frozenset(provided),
-            required=frozenset(required),
+            provided=dict.fromkeys(provided),
+            required=dict.fromkeys(required),
             internal_map=tuple(internal_map.items()),
         )
     except (ValueError, TypeError) as exc:
@@ -303,15 +303,16 @@ def _step_from_dict(data: object, memo: dict) -> TestStep:
     return step
 
 
-def _services(raw: list, memo: dict) -> frozenset:
-    """The load's one set of ServiceNames for each set of valid names; any other
-    set is passed on for the case to report after the checks it makes first."""
-    services = frozenset(raw)
+def _services(raw: list, memo: dict) -> frozenset | list:
+    """The load's one set of ServiceNames for each set of valid names. Any other
+    list is passed on, for the case to report its first invalid name in document
+    order after the checks it makes first."""
+    services = frozenset(raw)  # an unhashable name fails here, before those checks
     if services not in memo:
-        try:
-            memo[services] = frozenset(_one(memo, ServiceName, name) for name in services)
+        try:  # ServiceName rejects a name that is no string, which _one passes on
+            memo[services] = frozenset(ServiceName(_one(memo, ServiceName, name)) for name in raw)
         except InvalidIdentifier:
-            return services
+            return raw
     return memo[services]
 
 

@@ -356,7 +356,7 @@ def _oracle_case_from_dict(data):
         return TestCase(
             id=data["id"],
             owner=data["owner"],
-            services=frozenset(data["services"]),
+            services=dict.fromkeys(data["services"]),  # checked in document order
             steps=tuple(_oracle_step_from_dict(s) for s in data["steps"]),
             origin=origin,
         )

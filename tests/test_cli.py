@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,6 +375,166 @@ def test_usage_error_exits_2():
         main(["cig", "--format", "svg", str(VENDING), str(DISPENSER)])
     assert err.value.code == 2
 
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def _parse_with_argparse(parser, argv: list[str]) -> dict | None:
+    """``vars`` of what argparse parses ``argv`` to, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+_VALUES = {"--format": "dot", "--cig": "cig.json", "--t1": "t1.json", "--t2": "t2.json", "--tnew": "gen.json"}
+
+
+def _canonical_argvs():
+    """Each command with every set of its options that holds the required
+    ones, in every order, and its two files in one run before, between or
+    after them."""
+    for words, _, _, arguments in cli._COMMANDS:
+        options = [name for name in arguments if name.startswith("-")]
+        required = {name for name in options if arguments[name].get("required")}
+        files = ["a.sc", "b.sc"] if "files" in arguments else []
+        for count in range(len(required), len(options) + 1):
+            for chosen in itertools.permutations(options, count):
+                if not required <= set(chosen):
+                    continue
+                tokens = [[o] if o == "--report" else [o, _VALUES.get(o, "x.json")] for o in chosen]
+                for at in range(len(tokens) + 1):
+                    yield [*words, *sum(tokens[:at], []), *files, *sum(tokens[at:], [])]
+
+
+def _mutants(rng: random.Random, argv: list[str]) -> list[list[str]]:
+    """``argv`` with one token joined, cut short, repeated, dropped or added."""
+    options = [i for i, token in enumerate(argv) if token.startswith("--")]
+    i = rng.choice(options) if options else len(argv) - 1
+    token = argv[i]
+    out = [
+        argv[:i] + [f"{token}={argv[i + 1] if i + 1 < len(argv) else ''}"] + argv[i + 2 :],  # --opt=value
+        argv[:i] + [token[:-1]] + argv[i + 1 :],  # an abbreviation, or a cut word
+        argv[:i] + [token] + argv[i:],  # repeated
+        argv[:i] + argv[i + 1 :],  # missing
+        argv + [token],
+        [argv[0] + "x", *argv[1:]],
+        argv[1:],
+    ]
+    for extra in ("--", "-h", "--help", "-", "-a.sc", "", "-1", "x=y", "--out=o", "a.sc", "tests", "gen"):
+        at = rng.randrange(len(argv) + 1)
+        out.append(argv[:at] + [extra] + argv[at:])
+        out.append(argv[:at] + [extra] + argv[at + 1 :])  # in place of a token
+    return out
+
+
+def test_fast_parse_matches_argparse():
+    parser = cli._build_parser()
+    canonical = list(_canonical_argvs())
+    for argv in canonical:  # each takes the fast path
+        fast = cli._parse_fast(argv)
+        assert fast is not None and vars(fast) == _parse_with_argparse(parser, argv), argv
+    rng = random.Random("argv-20101020")
+    corpus = [m for argv in canonical for m in _mutants(rng, argv)]
+    corpus += [["cig", "a.sc", "b.sc", "--format", f] for f in ("svg", "", "JSON", "-dot")]
+    corpus += [[], ["bogus"], ["tests"], ["tests", "bogus", "a.sc"], ["-h"], ["--", "parse", "a.sc"], ["parse", ""]]
+    corpus += [["tests", "compose", *sum(([o, "p"] for o in ("--t1", "--t2", "--composition", "--tnew")), []), "a.sc"]]
+    tokens = ["parse", "cig", "tests", "gen", "compose", "a.sc", "", "--out", "--ou", "--format", "dot", "json",
+              "--report", "--cig", "--t1", "--t2", "--tnew", "--composition", "-h", "--", "-", "--out=o", "-x"]
+    corpus += [rng.choices(tokens, k=rng.randint(0, 8)) for _ in range(1500)]
+    fast_taken = 0
+    for argv in corpus:
+        fast = cli._parse_fast(argv)
+        if fast is not None:
+            assert vars(fast) == _parse_with_argparse(parser, argv), argv
+            fast_taken += 1
+    assert 500 < fast_taken < len(corpus) - 1000, (fast_taken, len(corpus))  # both paths are exercised
+    # forms argparse parses, or prints help for, that the fast path leaves to it
+    for argv in (["parse", "a.sc", "-h"], ["cig", "a.sc", "--out=o"], ["cig", "a.sc", "--form", "dot"],
+                 ["parse", "--", "a.sc"], ["compose", "a.sc", "--out", "o", "--out", "p"], ["cig", "a.sc", "--report", "--report"]):
+        assert cli._parse_fast(argv) is None, argv
+
+
+def test_the_benchmark_session_takes_the_fast_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(_REPO / "bench"))
+    from session import session_commands
+    from workloads import Inputs
+
+    inputs = Inputs(charts=[VENDING, DISPENSER], t1=Path("t1.json"), t2=Path("t2.json"), library_cases=[], expected_edges=None)
+    commands = session_commands(inputs, Path("work"))
+    assert len(commands) == 6
+    parser = cli._build_parser()
+    for command in commands:
+        argv = list(command.argv)
+        fast = cli._parse_fast(argv)
+        assert fast is not None and vars(fast) == _parse_with_argparse(parser, argv), argv
+
+
+# The bytes the cig command printed at the commit before the fast path, with
+# COLUMNS=80: (argv, exit code, stdout, stderr). Python 3.10 to 3.13 print
+# these alike; an invalid --format is left out, since 3.13 words it differently.
+_HELP_AND_USAGE = [
+    (["-h"], 0, """\
+usage: cig [-h] {parse,compose,cig,tests} ...
+
+Component interaction graphs and test-suite composition for statechart-
+specified components.
+
+positional arguments:
+  {parse,compose,cig,tests}
+    parse               validate statecharts and print their canonical form
+    compose             compose the components' interfaces
+    cig                 build the component interaction graph
+    tests               generate or compose test libraries
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["tests", "gen", "-h"], 0, """\
+usage: cig tests gen [-h] --cig PATH [--out PATH] FILE [FILE ...]
+
+positional arguments:
+  FILE        the statechart files the CIG was built from
+
+options:
+  -h, --help  show this help message and exit
+  --cig PATH  CIG JSON file
+  --out PATH  write the result here instead of stdout
+""", ""),
+    ([], 2, "", """\
+usage: cig [-h] {parse,compose,cig,tests} ...
+cig: error: the following arguments are required: command
+"""),
+    (["tests", "gen", "fixtures/vending_machine.sc"], 2, "", """\
+usage: cig tests gen [-h] --cig PATH [--out PATH] FILE [FILE ...]
+cig tests gen: error: the following arguments are required: --cig
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _HELP_AND_USAGE, ids=[" ".join(["cig", *case[0]]) for case in _HELP_AND_USAGE])
+def test_help_and_usage_errors_are_argparse_bytes(argv, code, out, err):
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src"), "COLUMNS": "80"}
+    child = subprocess.run([sys.executable, "-m", "cigkit", *argv], cwd=_REPO, env=env, capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+# python -m cigkit that, on exit, prints which of argparse and gettext it imported
+_IMPORTED_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted({'argparse', 'gettext'} & sys.modules.keys()), file=sys.stderr))\n"
+    "runpy.run_module('cigkit', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, imported", [(["parse", "fixtures/vending_machine.sc"], ""), (["parse"], "argparse gettext")], ids=["parse FILE", "parse"]
+)
+def test_a_well_formed_command_imports_no_argparse(argv, imported):
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+    child = subprocess.run([sys.executable, "-c", _IMPORTED_AT_EXIT, *argv], cwd=_REPO, env=env, capture_output=True, text=True, timeout=60)
+    assert child.stderr.splitlines()[-1] == imported  # a usage error still imports them
 
 def test_run_reports_inputs():
     report = run(["parse", str(VENDING)])

@@ -372,11 +372,41 @@ _LOADER_DIGEST = "8f22f71b97828b1e744dd6f002783de3ec48d0ae9edac1075141f7b85c7399
 
 
 def test_loader_outcomes_are_pinned(documents):
-    # a set that holds two invalid names is reported by its first in iteration
-    # order, which the hash seed sets, so the outcomes are pinned under one seed
-    src = Path(cigkit.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
-    code = "import sys, test_fuzz; print(test_fuzz._loader_digest(sys.argv[1:]))"
-    paths = [str(documents[target]) for target in _LOADERS]
-    child = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True, text=True, timeout=120)
-    assert child.stdout.strip() == _LOADER_DIGEST, child.stderr
+    assert _loader_digest([str(documents[target]) for target in _LOADERS]) == _LOADER_DIGEST
+
+
+_INVALID_SERVICE_LISTS = """\
+from cigkit import CigError, component_from_json, library_from_json
+case = '{"cases": [{"id": "c", "owner": "A", "services": %s, "steps": []}]}'
+for load, text in [
+    (component_from_json, '{"name": "A", "provided": ["1x", "2y", "3z"], "required": []}'),
+    (component_from_json, '{"name": "A", "provided": ["a"], "required": ["b", "1x", "2y"]}'),
+    (library_from_json, case % '["1x", "2y", "3z"]'),
+    (library_from_json, case % '["a", null, "1x", 5]'),
+    (library_from_json, case % '["a", "1x", [1]]'),
+]:
+    try:
+        load(text)
+    except CigError as exc:
+        print(exc)
+"""
+
+
+def test_an_invalid_service_list_gives_one_message_under_every_hash_seed():
+    # the loaders check names in document order, not in a set's, which the
+    # hash seed orders; an unhashable name is still reported as one
+    env = {**os.environ, "PYTHONPATH": str(Path(cigkit.__file__).resolve().parent.parent)}
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", _INVALID_SERVICE_LISTS],
+            env={**env, "PYTHONHASHSEED": str(seed)}, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in range(6)
+    }
+    assert messages == {
+        "invalid component object: invalid service name: '1x'\n"
+        "invalid component object: invalid service name: '1x'\n"
+        "invalid test case: invalid service name: '1x'\n"
+        "invalid test case: invalid service name: None\n"
+        "invalid test case: unhashable type: 'list'\n"
+    }
