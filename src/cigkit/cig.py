@@ -48,11 +48,15 @@ def format_kinds(kinds: frozenset[Kind]) -> str:
 class ServiceSides(_Frozen):
     """States emitting a service and states accepting it, in chart order."""
 
+    __slots__ = ("emitters", "acceptors")
+
     emitters: tuple[StateRef, ...]
     acceptors: tuple[StateRef, ...]
 
 
 class CigNode(_Frozen):
+    __slots__ = ("component", "state", "kinds")
+
     component: str
     state: str
     kinds: frozenset[Kind]
@@ -77,6 +81,8 @@ class CigNode(_Frozen):
 class CigEdge(_Frozen):
     """A providing state feeding a requiring state of another component."""
 
+    __slots__ = ("source", "target", "service")
+
     source: StateRef
     target: StateRef
     service: ServiceName
@@ -91,6 +97,8 @@ class CigEdge(_Frozen):
 
 class Cig(_Frozen):
     """The interaction graph: classified interface states plus labeled edges."""
+
+    __slots__ = ("components", "removed", "nodes", "edges", "__dict__")  # __dict__ holds _by_ref
 
     components: tuple[str, ...]
     removed: tuple[StateRef, ...]

@@ -8,7 +8,8 @@ An error found inside one input file is malformed input: its message names
 the file and it exits 2, even when the same error between two files exits 1
 (a library that lists one test id twice, say). ``run`` is the one place that
 turns an error into a message and an exit code. It reads a well-formed command
-line without argparse, which it imports only for help and usage errors.
+line without argparse, which it imports only for help and usage errors, and
+each command imports the layers it runs before it reads any input.
 """
 
 from __future__ import annotations
@@ -18,20 +19,13 @@ import os
 import sys
 from collections.abc import Iterable
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from .cig import Cig, Kind, build_cig, cig_to_dot, format_kinds
-from .components import compose_many
-from .documents import (
-    cig_from_json,
-    cig_to_json,
-    composition_result_from_json,
-    composition_result_to_json,
-    library_chunks,
-    library_from_stream,
-)
 from .errors import CigError, DuplicateTestId, NoInteraction, NotComposable, UnreachableProvider
-from .statechart import ChartSet, extract_interfaces, parse_statechart, serialize_statechart
-from .testlib import compose_libraries, generate_new_tests
+
+if TYPE_CHECKING:
+    from .cig import Cig
+    from .statechart import ChartSet
 
 # Domain errors exit 1; every other CigError is unreadable or malformed input.
 _DOMAIN_ERRORS = (NotComposable, NoInteraction, DuplicateTestId, UnreachableProvider)
@@ -84,6 +78,8 @@ def _load(path: str, parse):
 
 def _chart_set(paths: list[str]) -> ChartSet:
     """The charts in ``paths``; a chart that both accepts and emits a name is malformed input in its file."""
+    from .statechart import ChartSet, extract_interfaces, parse_statechart
+
     charts = ChartSet(tuple(_load(path, parse_statechart) for path in paths))
     for path, chart in zip(paths, charts):
         with _about(path):
@@ -109,6 +105,8 @@ def _emit(chunks: Iterable[str], out: str | None):
 
 
 def cmd_parse(args, report: RunReport):
+    from .statechart import parse_statechart, serialize_statechart
+
     report.inputs = list(args.files)
     for path in args.files:
         try:
@@ -120,6 +118,10 @@ def cmd_parse(args, report: RunReport):
 
 
 def cmd_compose(args, report: RunReport):
+    from .components import compose_many
+    from .documents import composition_result_to_json
+    from .statechart import extract_interfaces
+
     report.inputs = list(args.files)
     if len(args.files) < 2:
         raise CigError("compose needs at least two statechart files")
@@ -128,6 +130,12 @@ def cmd_compose(args, report: RunReport):
 
 
 def cmd_cig(args, report: RunReport):
+    if args.format == "dot":
+        from .cig import cig_to_dot as render
+    else:
+        from .documents import cig_to_json as render
+    from .cig import build_cig
+
     report.inputs = list(args.files)
     if len(args.files) < 2:
         raise CigError("cig needs at least two statechart files")
@@ -135,10 +143,12 @@ def cmd_cig(args, report: RunReport):
     cig = build_cig(charts)
     if args.report:
         sys.stderr.write(_classification_table(charts, cig))
-    _emit([cig_to_dot(cig) if args.format == "dot" else cig_to_json(cig)], args.out)
+    _emit([render(cig)], args.out)
 
 
 def _classification_table(charts: ChartSet, cig: Cig) -> str:
+    from .cig import Kind, format_kinds
+
     rows = [("component", "state", "classification")]
     removed = set(cig.removed)
     for chart in charts:
@@ -155,14 +165,22 @@ def _classification_table(charts: ChartSet, cig: Cig) -> str:
 
 
 def cmd_tests_gen(args, report: RunReport):
+    from .documents import cig_from_json, library_chunks
+    from .testlib import generate_new_tests
+    # the CIG reader and generation import cig and statechart when called: load them before any input is held
+    from . import cig, statechart  # noqa: F401
+
     report.inputs = [args.cig_path, *args.files]
-    cig = _load(args.cig_path, cig_from_json)
+    graph = _load(args.cig_path, cig_from_json)
     charts = _chart_set(args.files)
-    library = generate_new_tests(cig, charts, warn=lambda m: _warn(report, m))
+    library = generate_new_tests(graph, charts, warn=lambda m: _warn(report, m))
     _emit(library_chunks(library), args.out)
 
 
 def cmd_tests_compose(args, report: RunReport):
+    from .documents import composition_result_from_json, library_chunks, library_from_stream
+    from .testlib import compose_libraries
+
     report.inputs = [args.t1, args.t2, args.composition, args.tnew]
     t1 = _read(args.t1, library_from_stream)
     t2 = _read(args.t2, library_from_stream)

@@ -42,14 +42,18 @@ _setattr = object.__setattr__
 
 class _Frozen:
     """A frozen value object with a frozen dataclass's semantics. Its fields are
-    its class's own annotations, given by position or keyword, and class
-    attributes are their defaults; ``__post_init__`` then checks them and may
-    normalise them through ``object.__setattr__``."""
+    its class's own annotations, each held in a slot its class declares, given
+    by position or keyword; ``_defaults`` maps a field to its default. Then
+    ``__post_init__`` checks them and may normalise them through
+    ``object.__setattr__``. A class that caches a property lists ``__dict__``
+    among its slots."""
+
+    __slots__ = ()
+    _defaults = {}  # a field's default by its name
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = dict.fromkeys(cls.__annotations__)  # the names in order, and their set as keys()
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         cls._row = attrgetter("__class__", *cls._fields)  # a tuple, also for one field
 
     def __init__(self, *args, **kwargs):
@@ -62,7 +66,7 @@ class _Frozen:
             kwargs = {**self._defaults, **kwargs}
             if kwargs.keys() != self._fields.keys():
                 raise TypeError(f"{type(self).__name__}() needs the fields {list(self._fields)}, got {list(kwargs)}")
-        for name in self._fields:  # in field order, so that instances share one key table
+        for name in self._fields:
             _setattr(self, name, kwargs[name])
         self.__post_init__()
 
@@ -87,12 +91,23 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):  # pickle and copy build the object anew, as slots give them no __dict__ to fill
+        row = self._row(self)
+        return row[0], row[1:]
+
+
+def _in_order(values: Iterable) -> Iterable:
+    """``values`` in the order their members are checked: a set's sorted by
+    ``repr``, which also orders members of mixed types, as a set's own order
+    follows the hash seed; any other iterable's as it comes."""
+    return sorted(values, key=repr) if isinstance(values, (set, frozenset)) else values
+
 
 def _service_set(values: Iterable[str]) -> frozenset[ServiceName]:
     """The values as a frozenset of ServiceName, kept as they are if they already are one."""
     if type(values) is frozenset and all(type(v) is ServiceName for v in values):
         return values
-    return frozenset(ServiceName(v) for v in values)
+    return frozenset(ServiceName(v) for v in _in_order(values))
 
 
 class Component(_Frozen):
@@ -103,10 +118,13 @@ class Component(_Frozen):
     a sorted tuple of (required, provided) pairs, and dropped on composition.
     """
 
+    __slots__ = ("name", "provided", "required", "internal_map")
+    _defaults = {"provided": frozenset(), "required": frozenset(), "internal_map": ()}
+
     name: str
-    provided: frozenset[ServiceName] = frozenset()
-    required: frozenset[ServiceName] = frozenset()
-    internal_map: tuple[tuple[ServiceName, ServiceName], ...] = ()
+    provided: frozenset[ServiceName]
+    required: frozenset[ServiceName]
+    internal_map: tuple[tuple[ServiceName, ServiceName], ...]
 
     def __post_init__(self):
         check_identifier(self.name, "component name")
@@ -119,7 +137,7 @@ class Component(_Frozen):
                 + ", ".join(sorted(overlap))
             )
         raw = self.internal_map
-        items = raw.items() if isinstance(raw, Mapping) else raw
+        items = raw.items() if isinstance(raw, Mapping) else _in_order(raw)
         pairs = tuple(sorted((ServiceName(k), ServiceName(v)) for k, v in items))
         if len({k for k, _ in pairs}) != len(pairs):
             raise ValueError(f"component {self.name!r}: duplicate internal_map key")
@@ -155,6 +173,8 @@ def is_composable(c1: Component, c2: Component) -> bool:
 class CompositionStep(_Frozen):
     """One pairwise composition: the operand names and the services it consumed."""
 
+    __slots__ = ("left", "right", "satisfied")
+
     left: str
     right: str
     satisfied: frozenset[ServiceName]
@@ -172,6 +192,8 @@ class CompositionResult(_Frozen):
     least one. ``satisfied``, ``left_name`` and ``right_name`` describe the
     final pairwise step.
     """
+
+    __slots__ = ("composed", "steps")
 
     composed: Component
     steps: tuple[CompositionStep, ...]

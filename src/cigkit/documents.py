@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .cig import _KIND_ORDER, Cig, CigEdge, CigNode, StateRef
 from .components import Component, CompositionResult, CompositionStep, ServiceName, _service_set
 from .errors import CigError, InvalidIdentifier, SchemaError
 from .testlib import ComposedLibraryResult, Origin, TestCase, TestLibrary, TestStep
+
+if TYPE_CHECKING:  # the CIG reader and writer import cig where they run, so that a library alone does not
+    from .cig import Cig, StateRef
 
 # Every string goes through the escaper json.dumps itself uses.
 _quote = json.encoder.encode_basestring_ascii
@@ -148,6 +150,8 @@ def _ref_text(ref: StateRef, pad: str) -> str:
 
 
 def cig_to_json(cig: Cig) -> str:
+    from .cig import _KIND_ORDER
+
     nodes = []
     for node in cig.nodes:
         kinds = _array([_quote(k.value) for k in _KIND_ORDER if k in node.kinds], "      ")
@@ -186,10 +190,10 @@ def _ref_from_dict(data: object, what: str, memo: dict) -> StateRef:
     return memo.setdefault(ref, ref) if type(ref[0]) is type(ref[1]) is str else ref
 
 
-_CODE_TO_KIND = {k.value: k for k in _KIND_ORDER}
-
-
 def cig_from_json(text: str) -> Cig:
+    from .cig import _KIND_ORDER, Cig, CigEdge, CigNode
+
+    code_to_kind = {k.value: k for k in _KIND_ORDER}
     data = _loads(text)
     if not isinstance(data, dict):
         raise SchemaError("CIG document must be a JSON object")
@@ -205,9 +209,9 @@ def cig_from_json(text: str) -> Cig:
             if not isinstance(raw, dict) or not {"component", "state", "kinds"} <= raw.keys():
                 raise SchemaError("CIG node must have 'component', 'state' and 'kinds'")
             kinds = raw["kinds"]
-            if not isinstance(kinds, list) or not all(k in _CODE_TO_KIND for k in kinds):
+            if not isinstance(kinds, list) or not all(k in code_to_kind for k in kinds):
                 raise SchemaError(f"invalid kind codes in node {raw.get('state')!r}")
-            kinds = frozenset(_CODE_TO_KIND[k] for k in kinds)
+            kinds = frozenset(code_to_kind[k] for k in kinds)
             kinds = memo.setdefault(kinds, kinds)
             nodes.append(CigNode(component=_one(memo, str, raw["component"]), state=_one(memo, str, raw["state"]), kinds=kinds))
         edges = []
@@ -294,10 +298,15 @@ def _step_from_dict(data: object, memo: dict) -> TestStep:
         return memo[key]
     except (KeyError, TypeError):  # new, or unhashable and so no step
         pass
+    event = data["event"]
     if expected_state:  # a new step holds the load's one string per name
         expected_state = tuple(_one(memo, str, name) for name in expected_state)
+    try:  # and the load's one ServiceName per event and action name
+        event, *actions = [_one(memo, ServiceName, name) for name in (event, *actions)]
+    except InvalidIdentifier:
+        pass  # passed on as they are, for the step to report in the order it checks them
     try:
-        step = memo[key] = TestStep(event=data["event"], expected_state=expected_state, expected_actions=tuple(actions))
+        step = memo[key] = TestStep(event=event, expected_state=expected_state, expected_actions=tuple(actions))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid test step: {exc}") from None
     return step

@@ -64,8 +64,11 @@ def _check_param_token(token: str) -> str:
 class ActionEmission(_Frozen):
     """An emitted action with verbatim, uninterpreted parameter tokens."""
 
+    __slots__ = ("action", "params")
+    _defaults = {"params": ()}
+
     action: ServiceName
-    params: tuple[str, ...] = ()
+    params: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "action", ServiceName(self.action))
@@ -75,11 +78,14 @@ class ActionEmission(_Frozen):
 class Transition(_Frozen):
     """A directed transition. ``event`` is None for automatic transitions."""
 
+    __slots__ = ("source", "target", "event", "guard", "actions")
+    _defaults = {"event": None, "guard": None, "actions": ()}
+
     source: str
     target: str
-    event: ServiceName | None = None
-    guard: str | None = None
-    actions: tuple[ActionEmission, ...] = ()
+    event: ServiceName | None
+    guard: str | None
+    actions: tuple[ActionEmission, ...]
 
     def __post_init__(self):
         check_identifier(self.source, "state name")
@@ -94,10 +100,13 @@ class Transition(_Frozen):
 class Statechart(_Frozen):
     """A flat state machine owned by one component."""
 
+    __slots__ = ("component_name", "states", "initial", "transitions", "__dict__")  # __dict__ holds outgoing_index
+    _defaults = {"transitions": ()}
+
     component_name: str
     states: tuple[str, ...]
     initial: str
-    transitions: tuple[Transition, ...] = ()
+    transitions: tuple[Transition, ...]
 
     def __post_init__(self):
         check_identifier(self.component_name, "component name")
@@ -136,6 +145,8 @@ class Statechart(_Frozen):
 
 class ChartSet(_Frozen):
     """An ordered collection of statecharts with unique component names."""
+
+    __slots__ = ("charts", "__dict__")  # __dict__ holds _by_name
 
     charts: tuple[Statechart, ...]
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .cig import Cig, CigEdge, StateRef, build_cig, format_kinds
 from .components import ServiceName, _Frozen, _service_set, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
-from .statechart import ChartSet, Statechart, Transition
+
+if TYPE_CHECKING:  # generation imports cig and statechart where it runs, so that a library alone needs neither
+    from .cig import Cig, CigEdge, StateRef
+    from .statechart import ChartSet, Statechart, Transition
 
 
 class Origin(Enum):
@@ -28,10 +30,12 @@ class TestStep(_Frozen):
     the emitted actions in order."""
 
     __test__ = False  # not a pytest case
+    __slots__ = ("event", "expected_state", "expected_actions")
+    _defaults = {"expected_state": None, "expected_actions": ()}
 
     event: ServiceName
-    expected_state: StateRef | None = None
-    expected_actions: tuple[ServiceName, ...] = ()
+    expected_state: StateRef | None
+    expected_actions: tuple[ServiceName, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "event", ServiceName(self.event))
@@ -50,12 +54,14 @@ _GENERATED_PREFIX = "tnew_"
 
 class TestCase(_Frozen):
     __test__ = False
+    __slots__ = ("id", "owner", "services", "steps", "origin")
+    _defaults = {"origin": Origin.LIBRARY}
 
     id: str
     owner: str
     services: frozenset[ServiceName]
     steps: tuple[TestStep, ...]
-    origin: Origin = Origin.LIBRARY
+    origin: Origin
 
     def __post_init__(self):
         if not self.id or not isinstance(self.id, str):
@@ -73,8 +79,10 @@ class TestCase(_Frozen):
 
 class TestLibrary(_Frozen):
     __test__ = False
+    __slots__ = ("cases",)
+    _defaults = {"cases": ()}
 
-    cases: tuple[TestCase, ...] = ()
+    cases: tuple[TestCase, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "cases", tuple(self.cases))
@@ -97,6 +105,8 @@ class TestLibrary(_Frozen):
 
 class ComposedLibraryResult(_Frozen):
     """Outcome of composing two libraries: what was kept, dropped, added."""
+
+    __slots__ = ("retained", "removed", "generated", "final")
 
     retained: TestLibrary
     removed: TestLibrary
@@ -124,7 +134,7 @@ def satisfied_tests(
     shared = t1.ids & t2.ids
     if shared:
         raise DuplicateTestId(f"libraries share test id {sorted(shared)[0]!r}")
-    s = frozenset(ServiceName(x) for x in s)
+    s = _service_set(s)
     retained = []
     removed = []
     for case in list(t1) + list(t2):
@@ -215,18 +225,18 @@ def _close_step(component: str, draft: dict) -> TestStep:
     )
 
 
-_ELEMENTS = (
-    ("removed", "removed state", lambda ref: "%s.%s" % ref),
-    ("nodes", "node", lambda node: f"{node.component}.{node.state} ({format_kinds(node.kinds)})"),
-    ("edges", "edge", lambda edge: "%s.%s -> %s.%s on %s" % (*edge.source, *edge.target, edge.service)),
-)
-
-
 def _difference(built: Cig, cig: Cig) -> str | None:
     """What sets ``cig`` apart from ``built``, if anything: the first element
     it lacks or has beyond it among removed states, then nodes, then edges,
     each missing ones first in ``built``'s order, then extra ones in ``cig``'s."""
-    for field, what, text in _ELEMENTS:
+    from .cig import format_kinds
+
+    elements = (
+        ("removed", "removed state", lambda ref: "%s.%s" % ref),
+        ("nodes", "node", lambda node: f"{node.component}.{node.state} ({format_kinds(node.kinds)})"),
+        ("edges", "edge", lambda edge: "%s.%s -> %s.%s on %s" % (*edge.source, *edge.target, edge.service)),
+    )
+    for field, what, text in elements:
         want, have = getattr(built, field), getattr(cig, field)
         wanted, had = set(want), set(have)
         if wanted == had:
@@ -253,6 +263,9 @@ def generate_new_tests(
     The expected landing state on the accepting side is recorded only when
     it is unambiguous; ``warn`` hears about omissions.
     """
+    from .cig import build_cig
+    from .statechart import ChartSet
+
     for component in cig.components:
         if component not in charts.names:
             raise SchemaError(f"CIG references component {component!r} with no statechart")

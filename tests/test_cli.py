@@ -31,6 +31,7 @@ from cigkit import (
 import cigkit.cig
 import cigkit.cli as cli
 import cigkit.documents
+import cigkit.testlib
 from cigkit.cli import main, run
 from oracles import oracle_library_from_json, random_chart_set
 
@@ -536,6 +537,45 @@ def test_a_well_formed_command_imports_no_argparse(argv, imported):
     child = subprocess.run([sys.executable, "-c", _IMPORTED_AT_EXIT, *argv], cwd=_REPO, env=env, capture_output=True, text=True, timeout=60)
     assert child.stderr.splitlines()[-1] == imported  # a usage error still imports them
 
+
+# python -m cigkit that, on exit, prints the cigkit modules and json if it imported them
+_LAYERS_AT_EXIT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m in ('cigkit', 'json') or m.startswith('cigkit.')), file=sys.stderr))\n"
+    "runpy.run_module('cigkit', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def test_a_command_loads_only_the_layers_it_runs(tmp_path):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("cig", "comp", "gen", "t1", "t2")}
+    assert main(["cig", *FIXTURE_ARGS, "--out", paths["cig"]]) == 0
+    assert main(["compose", *FIXTURE_ARGS, "--out", paths["comp"]]) == 0
+    assert main(["tests", "gen", "--cig", paths["cig"], *FIXTURE_ARGS, "--out", paths["gen"]]) == 0
+    for name in ("t1", "t2"):
+        Path(paths[name]).write_text('{"cases": []}', encoding="utf-8")
+    for argv, layers in [
+        (["parse", *FIXTURE_ARGS], "statechart"),
+        (["cig", *FIXTURE_ARGS, "--format", "dot"], "cig statechart"),
+        (["tests", "compose", "--t1", paths["t1"], "--t2", paths["t2"], "--composition", paths["comp"],
+          "--tnew", paths["gen"]], "documents testlib"),
+    ]:
+        loaded = ["cigkit", *(f"cigkit.{layer}" for layer in ("cli", "components", "errors", *layers.split()))]
+        loaded += ["json"] if "documents" in layers else []
+        env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+        child = subprocess.run([sys.executable, "-c", _LAYERS_AT_EXIT, *argv], cwd=_REPO, env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.splitlines()[-1].split() == sorted(loaded), argv
+
+
+def test_every_exported_name_is_the_object_its_module_defines():
+    for name in cigkit.__all__:
+        value = getattr(cigkit, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    assert len(set(cigkit.__all__)) == len(cigkit.__all__) and set(cigkit.__all__) <= set(dir(cigkit))
+    with pytest.raises(AttributeError):
+        cigkit.no_such_name
+
+
 def test_run_reports_inputs():
     report = run(["parse", str(VENDING)])
     assert report.command == "parse"
@@ -565,7 +605,7 @@ def test_safety_net_keeps_the_report(capsys, tmp_path, monkeypatch):
     cig_path = str(tmp_path / "cig.json")
     assert main(["cig", *FIXTURE_ARGS, "--out", cig_path]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "generate_new_tests", generate)
+    monkeypatch.setattr(cigkit.testlib, "generate_new_tests", generate)  # where the handler imports it from
     report = run(["tests", "gen", "--cig", cig_path, *FIXTURE_ARGS])
     assert (report.command, report.exit_code) == ("tests gen", 1)
     assert report.inputs == [cig_path, *FIXTURE_ARGS]

@@ -375,6 +375,17 @@ def test_loader_outcomes_are_pinned(documents):
     assert _loader_digest([str(documents[target]) for target in _LOADERS]) == _LOADER_DIGEST
 
 
+def test_a_step_with_an_invalid_component_and_action_reports_the_component(documents):
+    # a mutant the seeded ones miss: the loader gives a step the load's names
+    # and must still leave the step to check its fields in order
+    data = json.loads(documents["composed"].read_text(encoding="utf-8"))
+    step = next(c[k] for c, k in _nodes(data, []) if isinstance(c[k], dict) and "expected_state" in c[k])
+    step["expected_state"]["component"] = "1bad"
+    step["expected_actions"].append("2bad")
+    outcome = _loader_outcome("composed", json.dumps(data, indent=2))
+    assert outcome == "SchemaError: invalid test step: invalid component name: '1bad'"
+
+
 _INVALID_SERVICE_LISTS = """\
 from cigkit import CigError, component_from_json, library_from_json
 case = '{"cases": [{"id": "c", "owner": "A", "services": %s, "steps": []}]}'
@@ -390,6 +401,44 @@ for load, text in [
     except CigError as exc:
         print(exc)
 """
+
+
+_INVALID_SERVICE_SETS = """\
+from cigkit import CigError, Component, CompositionStep, TestCase, TestLibrary, compose_libraries, satisfied_tests
+names, empty = {"1x", "2y", "3z"}, TestLibrary()
+for make in (
+    lambda: Component(name="A", provided=names),
+    lambda: Component(name="A", required={"a"}, provided={"b"}, internal_map={("a", "2y"), ("a", "1x")}),
+    lambda: CompositionStep("A", "B", names),
+    lambda: TestCase("c", "A", {"a", 5, None, ("t",)}, ()),
+    lambda: satisfied_tests(empty, empty, names),
+    lambda: compose_libraries(empty, empty, names, empty),
+):
+    try:
+        make()
+    except (CigError, ValueError) as exc:
+        print(exc)
+"""
+
+
+def test_an_invalid_service_set_gives_one_message_under_every_hash_seed():
+    # a set's members are checked sorted by repr, which also orders mixed types
+    env = {**os.environ, "PYTHONPATH": str(Path(cigkit.__file__).resolve().parent.parent)}
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", _INVALID_SERVICE_SETS],
+            env={**env, "PYTHONHASHSEED": str(seed)}, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in range(5)
+    }
+    assert messages == {
+        "invalid service name: '1x'\n"
+        "invalid service name: '1x'\n"
+        "invalid service name: '1x'\n"
+        "invalid service name: ('t',)\n"
+        "invalid service name: '1x'\n"
+        "invalid service name: '1x'\n"
+    }
 
 
 def test_an_invalid_service_list_gives_one_message_under_every_hash_seed():

@@ -4,7 +4,9 @@ the hash of the field tuple, the ``Name(field=value, ...)`` repr, and no
 assignment or deletion; and importing the CLI pulls in none of the modules
 ``dataclasses`` would."""
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -129,6 +131,12 @@ def test_fields_cannot_be_assigned_or_deleted(instances):
                 delattr(x, name)
 
 
+def test_pickle_copy_and_deepcopy_give_an_equal_object(instances):
+    for x in instances:
+        for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+
+
 def test_a_missing_unknown_or_repeated_argument_is_a_type_error(instances):
     for x in {type(x): x for x in instances}.values():
         cls, fields = type(x), FIELDS[type(x)]
@@ -138,7 +146,7 @@ def test_a_missing_unknown_or_repeated_argument_is_a_type_error(instances):
             ((keywords[fields[0]],), keywords),  # the first field twice
             ((*keywords.values(), None), {}),  # more arguments than fields
         ]
-        required = [name for name in fields if name not in vars(cls)]  # no class-level default
+        required = [name for name in fields if name not in cls._defaults]
         calls += [((), {n: v for n, v in keywords.items() if n != name}) for name in required]
         for args, kwargs in calls:
             with pytest.raises(TypeError):

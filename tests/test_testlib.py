@@ -514,6 +514,26 @@ def test_expected_state_names_identifiers(ref, message):
         library_from_json(json.dumps(document))
 
 
+def test_a_loaded_step_reports_its_expected_state_before_its_actions():
+    step = {"event": "e", "expected_state": {"component": "1bad", "state": "S"}, "expected_actions": ["ok", "2bad"]}
+    document = {"cases": [{"id": "a", "owner": "A", "services": [], "steps": [step]}]}
+    with pytest.raises(SchemaError, match="^invalid test step: invalid component name: '1bad'$"):
+        library_from_json(json.dumps(document))
+
+
+def test_a_loaded_library_holds_one_service_name_per_distinct_name(fixture_charts):
+    tnew = generate_new_tests(build_cig(fixture_charts), fixture_charts)
+    result = compose_libraries(TestLibrary((_case("a", {"setCredit"}),)), TestLibrary(), S_FIXTURE, tnew)
+    for loaded in (library_from_json(library_to_json(tnew)), composed_result_from_json(composed_result_to_json(result))):
+        libraries = [loaded] if isinstance(loaded, TestLibrary) else [loaded.retained, loaded.removed, loaded.final]
+        cases = [case for library in libraries for case in library]
+        steps = {id(step): step for case in cases for step in case.steps}.values()
+        names = [name for step in steps for name in (step.event, *step.expected_actions)]
+        names += [name for case in cases for name in case.services]
+        assert len(steps) > len({step.event for step in steps})  # distinct steps share names
+        assert len({id(name) for name in names}) == len(set(names))
+
+
 def test_composed_result_json_round_trip(fixture_charts):
     t1 = TestLibrary((_case("a", {"setCredit"}),))
     t2 = TestLibrary((_case("b", {"insert"}),))
