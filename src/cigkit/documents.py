@@ -417,12 +417,12 @@ def _stream_library(read: Callable[[int], str]) -> TestLibrary:
             raise ValueError("expected a key")
         if key != "cases":
             take(_scan)
-        elif cases is None and take(_char) == "[":
+        elif take(_char) == "[":  # a second one replaces the first, as in json.loads
             cases = [_case_from_dict(take(_scan), memo) for _ in items("]")]
-        else:  # not an array, or a second one, which json.loads lets replace the first
-            raise ValueError("expected one 'cases' array")
+        else:
+            raise ValueError("expected a 'cases' array")
     if cases is None or take(_char):
-        raise ValueError("expected one 'cases' array and nothing after the library")
+        raise ValueError("expected a 'cases' array and nothing after the library")
     return TestLibrary(tuple(cases))
 
 
@@ -437,10 +437,9 @@ def _library_from_chunks(read: Callable[[int], str], whole: Callable[[], str]) -
 def library_from_stream(stream: TextIO) -> TestLibrary:
     """The library in a text file, read ``_CHUNK`` characters and one case at a
     time. On anything that reader does not take (a JSON, UTF-8, schema or
-    duplicate-id error, a second 'cases' key, data after the document) the
-    file is read again whole and decoded as one JSON text, so the result, or
-    the error with its message, line, column and whole-file byte offset, is a
-    whole-file read's."""
+    duplicate-id error, data after the document) the file is read again
+    whole and decoded as one JSON text, so the result, or the error with its
+    message, line, column and whole-file byte offset, is a whole-file read's."""
     if not stream.seekable():  # a pipe cannot be read again
         return library_from_json(stream.read())
 

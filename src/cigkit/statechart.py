@@ -95,6 +95,9 @@ class Transition(_Frozen):
         if self.guard is not None and not _GUARD_FORBIDDEN.isdisjoint(self.guard):
             raise ValueError(f"guard text may not contain brackets or line breaks: {self.guard!r}")
         object.__setattr__(self, "actions", tuple(self.actions))
+        for action in self.actions:  # a plain loop, as in TestCase: parsing builds many transitions
+            if not isinstance(action, ActionEmission):
+                raise TypeError("a transition's actions must be ActionEmissions")
 
 
 class Statechart(_Frozen):

@@ -16,7 +16,7 @@ from .components import ServiceName, _Frozen, _service_set, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 
 if TYPE_CHECKING:  # generation imports cig and statechart where it runs, so that a library alone needs neither
-    from .cig import Cig, CigEdge, StateRef
+    from .cig import Cig, StateRef
     from .statechart import ChartSet, Statechart, Transition
 
 
@@ -38,6 +38,8 @@ class TestStep(_Frozen):
     expected_actions: tuple[ServiceName, ...]
 
     def __post_init__(self):
+        if isinstance(self.expected_state, str) or isinstance(self.expected_actions, str):
+            raise TypeError("a test step's expected_state and expected_actions are tuples, not strings")
         object.__setattr__(self, "event", ServiceName(self.event))
         if self.expected_state is not None:
             component, state = self.expected_state
@@ -69,6 +71,9 @@ class TestCase(_Frozen):
         check_identifier(self.owner, "owner component name")
         object.__setattr__(self, "services", _service_set(self.services))
         object.__setattr__(self, "steps", tuple(self.steps))
+        for step in self.steps:  # a plain loop: all() over a generator measurably slows generating many cases
+            if not isinstance(step, TestStep):
+                raise TypeError(f"test case {self.id!r} steps must be TestSteps")
         if self.origin is Origin.GENERATED and not self.services:
             raise ValueError(f"generated case {self.id!r} must name its services")
         if self.origin is Origin.LIBRARY and self.id.startswith(_GENERATED_PREFIX):
@@ -194,7 +199,7 @@ def _event_paths(chart: Statechart) -> dict[str, tuple[Transition, ...]]:
     return paths
 
 
-def _setup_steps(component: str, path: tuple[Transition, ...]) -> list[TestStep]:
+def _setup_steps(component: str, path: tuple[Transition, ...]) -> tuple[TestStep, ...]:
     """Turn a transition path into steps, one per triggered transition.
 
     Actions of automatic transitions taken right after a trigger are credited
@@ -202,27 +207,27 @@ def _setup_steps(component: str, path: tuple[Transition, ...]) -> list[TestStep]
     before the next trigger. Automatic transitions before the first trigger
     produce no step.
     """
-    steps: list[TestStep] = []
-    current: dict | None = None
-    for t in path:
-        if t.event is not None:
-            if current is not None:
-                steps.append(_close_step(component, current))
-            current = {"event": t.event, "actions": [], "state": t.target}
-        if current is not None:
-            current["actions"].extend(a.action for a in t.actions)
-            current["state"] = t.target
-    if current is not None:
-        steps.append(_close_step(component, current))
-    return steps
-
-
-def _close_step(component: str, draft: dict) -> TestStep:
-    return TestStep(
-        event=draft["event"],
-        expected_state=(component, draft["state"]),
-        expected_actions=tuple(draft["actions"]),
+    starts = [i for i, t in enumerate(path) if t.event is not None]
+    return tuple(
+        TestStep(path[i].event, (component, path[j - 1].target), tuple(a.action for t in path[i:j] for a in t.actions))
+        for i, j in zip(starts, starts[1:] + [len(path)])
     )
+
+
+def _trigger(chart: Statechart, state: str, service: ServiceName) -> tuple[ServiceName, tuple[ServiceName, ...]]:
+    """The event and emitted actions of the first triggered transition of ``state`` that emits ``service``."""
+    for _, t in chart.outgoing_index.get(state, ()):
+        if t.event is not None and any(a.action == service for a in t.actions):
+            return t.event, tuple(a.action for a in t.actions)
+    raise UnreachableProvider(
+        f"state {state!r} of {chart.component_name!r} has no triggered transition emitting {service!r}"
+    )
+
+
+def _landing(chart: Statechart, state: str, service: ServiceName) -> tuple[int, StateRef | None]:
+    """How many transitions of ``state`` accept ``service``, and where the one that does lands, if only one does."""
+    accepting = [t for _, t in chart.outgoing_index.get(state, ()) if t.event == service]
+    return len(accepting), (chart.component_name, accepting[0].target) if len(accepting) == 1 else None
 
 
 def _difference(built: Cig, cig: Cig) -> str | None:
@@ -276,82 +281,34 @@ def generate_new_tests(
         difference = str(error)
     if difference is not None:
         raise SchemaError(f"CIG does not match its statecharts: {difference}")
-    paths_by_component: dict[str, dict[str, tuple[Transition, ...]]] = {}
-    setup_by_source: dict[StateRef, tuple[TestStep, ...]] = {}
-    finals = _FinalSteps(charts)
+    # each found once per key within this call, so that equal values are one object
+    triggers, landings, finals, paths, setups, services = {}, {}, {}, {}, {}, {}
     cases = []
     for edge in cig.edges:
-        emitter_chart = charts.get(edge.source[0])
-        case_id = _GENERATED_PREFIX + "_".join((*edge.source, str(edge.service), *edge.target))
-        final = finals.step(case_id, edge, warn)
-        setup = setup_by_source.get(edge.source)
-        if setup is None:
-            component, state = edge.source
-            if component not in paths_by_component:
-                paths_by_component[component] = _event_paths(emitter_chart)
-            path = paths_by_component[component].get(state)
-            if path is None:
-                raise UnreachableProvider(
-                    f"no event path reaches state {state!r} from {emitter_chart.initial!r} "
-                    f"in component {component!r}"
-                )
-            setup = setup_by_source[edge.source] = tuple(_setup_steps(component, path))
-        cases.append(
-            TestCase(
-                id=case_id,
-                owner=edge.source[0],
-                services=frozenset({edge.service}),
-                steps=setup + (final,),
-                origin=Origin.GENERATED,
-            )
-        )
-    cases.sort(key=lambda c: c.id)
-    return TestLibrary(tuple(cases))
-
-
-class _FinalSteps:
-    """The last step of each edge's case, within one generation: each
-    providing state's trigger and each requiring state's landing are found
-    once per service, and equal final steps are one object."""
-
-    def __init__(self, charts: ChartSet):
-        self.charts = charts
-        self.triggers: dict[tuple[StateRef, ServiceName], tuple[ServiceName, tuple[ServiceName, ...]]] = {}
-        self.landings: dict[tuple[StateRef, ServiceName], tuple[int, StateRef | None]] = {}
-        self.steps: dict[tuple, TestStep] = {}
-
-    def step(self, case_id: str, edge: CigEdge, warn: Callable[[str], None] | None) -> TestStep:
-        source, target = (edge.source, edge.service), (edge.target, edge.service)
-        if source not in self.triggers:
-            self.triggers[source] = self._trigger(*source)
-        if target not in self.landings:
-            self.landings[target] = self._landing(*target)
-        count, expected_state = self.landings[target]
+        (emitter, state), service, target = edge.source, edge.service, edge.target
+        case_id = _GENERATED_PREFIX + "_".join((emitter, state, str(service), *target))
+        if (edge.source, service) not in triggers:
+            triggers[edge.source, service] = _trigger(charts.get(emitter), state, service)
+        if (target, service) not in landings:
+            landings[target, service] = _landing(charts.get(target[0]), target[1], service)
+        count, expected_state = landings[target, service]
         if expected_state is None and warn is not None:
-            warn(
-                f"{case_id}: expected state omitted, {count} transitions "
-                f"accept {edge.service!r} in state {edge.target[1]!r}"
-            )
-        key = (*self.triggers[source], expected_state)
-        if key not in self.steps:
-            self.steps[key] = TestStep(key[0], expected_state, key[1])
-        return self.steps[key]
-
-    def _trigger(self, state: StateRef, service: ServiceName) -> tuple[ServiceName, tuple[ServiceName, ...]]:
-        """The event and the emitted actions of the first triggered transition
-        of ``state`` that emits ``service``."""
-        chart = self.charts.get(state[0])
-        for _, t in chart.outgoing_index.get(state[1], ()):
-            if t.event is not None and any(a.action == service for a in t.actions):
-                return t.event, tuple(a.action for a in t.actions)
-        raise UnreachableProvider(
-            f"state {state[1]!r} of {chart.component_name!r} has no "
-            f"triggered transition emitting {service!r}"
-        )
-
-    def _landing(self, state: StateRef, service: ServiceName) -> tuple[int, StateRef | None]:
-        """How many transitions of ``state`` accept ``service``, and where
-        the one that does lands, if exactly one does."""
-        chart = self.charts.get(state[0])
-        accepting = [t for _, t in chart.outgoing_index.get(state[1], ()) if t.event == service]
-        return len(accepting), (chart.component_name, accepting[0].target) if len(accepting) == 1 else None
+            warn(f"{case_id}: expected state omitted, {count} transitions accept {service!r} in state {target[1]!r}")
+        event, actions = triggers[edge.source, service]
+        key = (event, expected_state, actions)
+        if key not in finals:
+            finals[key] = TestStep(*key)
+        if edge.source not in setups:
+            if emitter not in paths:
+                paths[emitter] = _event_paths(charts.get(emitter))
+            if state not in paths[emitter]:
+                raise UnreachableProvider(
+                    f"no event path reaches state {state!r} from {charts.get(emitter).initial!r} "
+                    f"in component {emitter!r}"
+                )
+            setups[edge.source] = _setup_steps(emitter, paths[emitter][state])
+        if service not in services:
+            services[service] = frozenset({service})
+        steps = setups[edge.source] + (finals[key],)
+        cases.append(TestCase(case_id, emitter, services[service], steps, Origin.GENERATED))
+    return TestLibrary(tuple(sorted(cases, key=lambda c: c.id)))

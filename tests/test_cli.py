@@ -16,6 +16,7 @@ from cigkit import (
     ChartSet,
     CigError,
     DuplicateTestId,
+    TestLibrary,
     build_cig,
     cig_from_json,
     cig_to_dot,
@@ -33,7 +34,7 @@ import cigkit.cli as cli
 import cigkit.documents
 import cigkit.testlib
 from cigkit.cli import main, run
-from oracles import oracle_library_from_json, random_chart_set
+from oracles import oracle_library_from_json, random_chart_set, random_library
 
 FIXTURE_ARGS = [str(VENDING), str(DISPENSER)]
 
@@ -738,6 +739,12 @@ def test_tests_compose_reads_a_library_file_as_a_whole_file_read_does(capsys, tm
     assert (main(argv), capsys.readouterr()) == streamed
 
 
+def test_the_streamed_reader_lets_a_second_cases_array_replace_the_first():
+    # as json.loads does, so such a file takes no second, whole-file read
+    text = '{"cases": [], "cases": ' + _CASES.decode() + "}"
+    assert [case.id for case in cigkit.documents._stream_library(io.StringIO(text).read)] == ["vm_0", "vm_1", "vm_2"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
 def test_tests_compose_reads_a_library_from_a_pipe(capsys, tmp_path):
     # a pipe cannot be read again for the whole-file error, so it is read whole
@@ -949,3 +956,97 @@ def test_a_cig_other_than_the_one_the_charts_build_exits_2(capsys, tmp_path):
     assert unequal.pop("permute") == 0
     assert built >= 100 and min(unequal.values()) >= 50, (built, unequal)
     assert digest.hexdigest() == _UNMUTATED_DIGEST
+
+
+# runs each command line of a JSON list in this one process, and prints each
+# one's exit code, stdout, stderr and --out text (None when it wrote no file)
+_RUN_CORPUS = """
+import contextlib, io, json, os, sys
+from cigkit.cli import main
+
+outcomes = []
+for argv in json.load(sys.stdin):
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if out is not None and os.path.exists(out):
+        os.remove(out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    written = None
+    if out is not None and os.path.exists(out):
+        with open(out, encoding="utf-8") as stream:
+            written = stream.read()
+    outcomes.append([argv, code, stdout.getvalue(), stderr.getvalue(), written])
+json.dump(outcomes, sys.stdout)
+"""
+
+_MALFORMED_CHARTS = [
+    DISJOINT_A,
+    "component A\nstate X\ninitial Y\nend\n",
+    "component A\nstate X\nstate X\ninitial X\nend\n",
+    "component 1A\nstate X\ninitial X\nend\n",
+    "component A\nstate X\ninitial X\ntransition X -> Z on go\nend\n",
+    "component A\nstate X\ninitial X\ntransition X -> X on setCredit do setCredit\nend\n",
+    "component A\nstate X\ninitial X\ntransition X -> X on go\n",
+    "component A\nstate X\ninitial X\ntransition X -> X on go do a, b, a\nend\n",
+]
+
+
+def _hash_seed_corpus(tmp_path) -> list[list[str]]:
+    """The README session on the fixtures and on one seeded random chart set,
+    tests gen on stale CIGs of both, and malformed charts beside the vending
+    machine."""
+    rng = random.Random("hash-seed-20101020")
+    while True:  # the first draw whose session runs through
+        charts = ChartSet(tuple(random_chart_set(rng, 3)))
+        try:
+            if len(generate_new_tests(build_cig(charts), charts)):
+                break
+        except CigError:
+            pass
+    sets = {"fixtures": _fixture_charts_for_cli(), "random": charts}
+    corpus = []
+    for name, charts in sets.items():
+        folder = tmp_path / name
+        folder.mkdir()
+        files = [_write(folder, f"{chart.component_name}.sc", serialize_statechart(chart)) for chart in charts]
+        universe = sorted(compose_many([extract_interfaces(chart) for chart in charts]).all_satisfied()) + ["env0"]
+        t1, t2 = (
+            _write(folder, f"{prefix}.json", library_to_json(TestLibrary(tuple(random_library(rng, prefix, universe)))))
+            for prefix in ("t1", "t2")
+        )
+        comp, cig_path, gen = (str(folder / f"{n}.json") for n in ("comp", "cig", "gen"))
+        corpus += [
+            ["parse", *files],
+            ["compose", *files, "--out", comp],
+            ["cig", *files, "--out", cig_path],
+            ["cig", *files, "--format", "dot", "--report"],
+            ["tests", "gen", "--cig", cig_path, *files, "--out", gen],
+            ["tests", "compose", "--t1", t1, "--t2", t2, "--composition", comp, "--tnew", gen],
+        ]
+        for kind, mutant in _cig_mutants(rng, json.loads(cig_to_json(build_cig(charts)))).items():
+            stale = _write(folder, f"{kind}.json", json.dumps(mutant, indent=2) + "\n")
+            corpus.append(["tests", "gen", "--cig", stale, *files])
+    cig_path = str(tmp_path / "fixtures" / "cig.json")
+    for i, text in enumerate(_MALFORMED_CHARTS):
+        bad = _write(tmp_path, f"bad{i}.sc", text)
+        corpus += [["parse", bad], ["cig", str(VENDING), bad], ["tests", "gen", "--cig", cig_path, str(VENDING), bad]]
+    return corpus
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # one child per seed runs the whole corpus, in order, on the same files
+    corpus = json.dumps(_hash_seed_corpus(tmp_path))
+    env = {**os.environ, "PYTHONPATH": str(Path(cigkit.__file__).resolve().parent.parent)}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _RUN_CORPUS], input=corpus, env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    outcomes = json.loads(runs[0])
+    assert {code for _, code, *_ in outcomes} == {0, 1, 2}
+    assert sum(written is not None for *_, written in outcomes) == 6
+    for ours, theirs in zip(outcomes, json.loads(runs[1]), strict=True):
+        assert ours == theirs

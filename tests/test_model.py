@@ -159,6 +159,23 @@ def test_defaults_come_from_the_class():
     assert Transition("A", "B") == Transition(source="A", target="B", event=None, guard=None, actions=())
 
 
+def test_a_string_or_a_plain_value_where_a_model_object_belongs_is_a_type_error():
+    # each was taken apart quietly, or accepted until a later use failed
+    for make in (
+        lambda: TestStep("e", "AB", ("x",)),
+        lambda: TestStep("e", ("A", "B"), "xy"),
+        lambda: Transition("A", "B", actions=["ping"]),
+        lambda: Transition("A", "B", actions="ping"),
+        lambda: TestCase("t", "Owner", frozenset({"s"}), steps=["x"]),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    step = TestStep("e", ["A", "B"], ["x"])
+    assert (step.expected_state, step.expected_actions) == (("A", "B"), ("x",))
+    transition = Transition("A", "B", actions=[ActionEmission("ping")])
+    assert TestCase("t", "Owner", frozenset({"s"}), [step]).steps == (step,) and len(transition.actions) == 1
+
+
 def test_a_loaded_composed_result_s_final_part_holds_the_retained_and_generated_cases(fixture_charts):
     satisfied = compose_many([extract_interfaces(chart) for chart in fixture_charts]).all_satisfied()
     tnew = generate_new_tests(build_cig(fixture_charts), fixture_charts)

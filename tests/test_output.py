@@ -369,6 +369,13 @@ def test_a_generation_holds_one_object_per_distinct_final_step():
     library = generate_new_tests(build_cig(charts), charts, warn=warnings.append)
     finals = [case.steps[-1] for case in library]
     assert len(finals) == 100 and len(set(finals)) == 4 and _first_of_each(finals)
+    # one services set for the 100 cases, and one setup for each source's 10 cases
+    assert len({case.services for case in library}) == 1 and _first_of_each(case.services for case in library)
+    setups = {}
+    for case in library:
+        setup = setups.setdefault(case.id.split("_s_")[0], case.steps[:-1])
+        assert all(a is b for a, b in zip(setup, case.steps[:-1], strict=True))
+    assert len(setups) == 10 and sum(map(len, setups.values())) == 45
     assert warnings == [
         f"tnew_E_E{i}_s_A_A9: expected state omitted, 2 transitions accept 's' in state 'A9'" for i in range(10)
     ]
