@@ -10,20 +10,13 @@ with service-labeled edges.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
-from .components import ServiceName, _Frozen, check_identifier
+from .components import ServiceName, _Frozen, _state_ref, check_identifier
 from .errors import NoInteraction
 from .statechart import ChartSet, Transition, extract_interfaces
 
 StateRef = tuple[str, str]  # (component name, state name)
-
-
-def _ref(pair) -> StateRef:
-    """``pair``, which must have two items, as a StateRef, kept as it is if it already is one."""
-    component, state = pair
-    return pair if type(pair) is tuple else (component, state)
 
 
 class Kind(Enum):
@@ -88,17 +81,18 @@ class CigEdge(_Frozen):
     service: ServiceName
 
     def __post_init__(self):
-        object.__setattr__(self, "source", _ref(self.source))
-        object.__setattr__(self, "target", _ref(self.target))
+        object.__setattr__(self, "source", _state_ref(self.source, "an edge's source"))
+        object.__setattr__(self, "target", _state_ref(self.target, "an edge's target"))
         object.__setattr__(self, "service", ServiceName(self.service))
         if self.source[0] == self.target[0]:
             raise ValueError(f"edge within one component: {self.source} -> {self.target}")
 
 
 class Cig(_Frozen):
-    """The interaction graph: classified interface states plus labeled edges."""
+    """The interaction graph: classified interface states plus labeled edges.
+    ``_by_ref``, which its node check builds, maps each node's ref to the node."""
 
-    __slots__ = ("components", "removed", "nodes", "edges", "__dict__")  # __dict__ holds _by_ref
+    __slots__ = ("components", "removed", "nodes", "edges", "_by_ref")
 
     components: tuple[str, ...]
     removed: tuple[StateRef, ...]
@@ -111,17 +105,17 @@ class Cig(_Frozen):
         for i, component in enumerate(components):
             if component in components[:i]:
                 raise ValueError(f"duplicate component {component!r}")
-        object.__setattr__(self, "removed", tuple(map(_ref, self.removed)))
+        object.__setattr__(self, "removed", tuple(_state_ref(ref, "a removed state") for ref in self.removed))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
-        known = set()
+        by_ref: dict[StateRef, CigNode] = {}
         for node in self.nodes:
             if node.component not in self.components:
                 raise ValueError(f"node component {node.component!r} not in component list")
-            if node.ref in known:
+            if node.ref in by_ref:
                 raise ValueError(f"duplicate node {node.ref}")
-            known.add(node.ref)
-        by_ref = self._by_ref
+            by_ref[node.ref] = node
+        object.__setattr__(self, "_by_ref", by_ref)
         seen_edges = set()
         for edge in self.edges:
             if edge in seen_edges:
@@ -137,12 +131,8 @@ class Cig(_Frozen):
         for ref in self.removed:
             check_identifier(ref[0], "component name")
             check_identifier(ref[1], "state name")
-            if ref in known:
+            if ref in by_ref:
                 raise ValueError(f"removed state {ref} still appears as a node")
-
-    @cached_property
-    def _by_ref(self) -> dict[StateRef, CigNode]:
-        return {node.ref: node for node in self.nodes}
 
     def node(self, component: str, state: str) -> CigNode:
         return self._by_ref[(component, state)]
@@ -273,7 +263,7 @@ def build_cig(charts: ChartSet) -> Cig:
     ]
     edges.sort(key=lambda e: (order[e.source], str(e.service), order[e.target]))
     return Cig(
-        components=tuple(charts.names),
+        components=charts.names,
         removed=tuple(ref for ref, kinds in analysis.kinds.items() if Kind.REMOVED in kinds),
         nodes=tuple(
             CigNode(component=ref[0], state=ref[1], kinds=kinds)

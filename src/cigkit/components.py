@@ -25,6 +25,18 @@ def check_identifier(value: str, what: str = "identifier") -> str:
     return value
 
 
+def _state_ref(value, field: str) -> tuple[str, str]:
+    """``value`` as a (component, state) tuple, kept if it already is one; a
+    string, a non-iterable or another length is a TypeError naming ``field``."""
+    try:
+        pair = value if type(value) is tuple else tuple(value)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2 or isinstance(value, str):
+        raise TypeError(f"{field} must be a (component, state) pair, got {value!r}")
+    return pair
+
+
 class ServiceName(str):
     """A service interface name. A plain string validated as an identifier."""
 
@@ -44,9 +56,9 @@ class _Frozen:
     """A frozen value object with a frozen dataclass's semantics. Its fields are
     its class's own annotations, each held in a slot its class declares, given
     by position or keyword; ``_defaults`` maps a field to its default. Then
-    ``__post_init__`` checks them and may normalise them through
-    ``object.__setattr__``. A class that caches a property lists ``__dict__``
-    among its slots."""
+    ``__post_init__`` checks them, may normalise them through
+    ``object.__setattr__``, and may keep what it builds in a slot that is not
+    a field."""
 
     __slots__ = ()
     _defaults = {}  # a field's default by its name

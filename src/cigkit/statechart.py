@@ -30,7 +30,6 @@ token ``2..max`` style denotes a value range and is kept verbatim.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 from .components import _IDENTIFIER_RE, Component, ServiceName, _Frozen, check_identifier
 from .errors import (
@@ -101,9 +100,10 @@ class Transition(_Frozen):
 
 
 class Statechart(_Frozen):
-    """A flat state machine owned by one component."""
+    """A flat state machine owned by one component. Its endpoint check builds
+    ``outgoing_index``: each state's outgoing (index, transition) pairs in declaration order."""
 
-    __slots__ = ("component_name", "states", "initial", "transitions", "__dict__")  # __dict__ holds outgoing_index
+    __slots__ = ("component_name", "states", "initial", "transitions", "outgoing_index")
     _defaults = {"transitions": ()}
 
     component_name: str
@@ -115,65 +115,53 @@ class Statechart(_Frozen):
         check_identifier(self.component_name, "component name")
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
-        seen = set()
+        index: dict[str, list[tuple[int, Transition]]] = {}
         for state in states:
             check_identifier(state, "state name")
-            if state in seen:
+            if state in index:
                 raise DuplicateState(f"duplicate state {state!r} in {self.component_name!r}")
-            seen.add(state)
-        if self.initial not in seen:
+            index[state] = []
+        if self.initial not in index:
             raise UnknownState(
                 f"initial state {self.initial!r} is not declared in {self.component_name!r}"
             )
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        for t in self.transitions:
+        for i, t in enumerate(self.transitions):
             for endpoint in (t.source, t.target):
-                if endpoint not in seen:
+                if endpoint not in index:
                     raise UnknownState(
                         f"transition endpoint {endpoint!r} is not declared in {self.component_name!r}"
                     )
-
-    @cached_property
-    def outgoing_index(self) -> dict[str, tuple[tuple[int, Transition], ...]]:
-        """Each state's outgoing transitions with their declaration indices,
-        in declaration order. Built on first use and kept with the chart."""
-        index: dict[str, list[tuple[int, Transition]]] = {state: [] for state in self.states}
-        for i, t in enumerate(self.transitions):
             index[t.source].append((i, t))
-        return {state: tuple(pairs) for state, pairs in index.items()}
+        object.__setattr__(self, "outgoing_index", {state: tuple(pairs) for state, pairs in index.items()})
 
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         return tuple(t for _, t in self.outgoing_index.get(state, ()))
 
 
 class ChartSet(_Frozen):
-    """An ordered collection of statecharts with unique component names."""
+    """An ordered collection of statecharts with unique component names, which
+    its name check keeps in order in ``names`` and with their charts in ``_by_name``."""
 
-    __slots__ = ("charts", "__dict__")  # __dict__ holds _by_name
+    __slots__ = ("charts", "names", "_by_name")
 
     charts: tuple[Statechart, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "charts", tuple(self.charts))
-        seen = set()
+        by_name: dict[str, Statechart] = {}
         for chart in self.charts:
-            if chart.component_name in seen:
+            if chart.component_name in by_name:
                 raise DuplicateComponent(f"duplicate component {chart.component_name!r}")
-            seen.add(chart.component_name)
+            by_name[chart.component_name] = chart
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "names", tuple(by_name))
 
     def __iter__(self):
         return iter(self.charts)
 
     def __len__(self) -> int:
         return len(self.charts)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.component_name for c in self.charts)
-
-    @cached_property
-    def _by_name(self) -> dict[str, Statechart]:
-        return {chart.component_name: chart for chart in self.charts}
 
     def get(self, name: str) -> Statechart:
         return self._by_name[name]

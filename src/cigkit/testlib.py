@@ -12,7 +12,7 @@ import heapq
 from enum import Enum
 from typing import TYPE_CHECKING, Callable
 
-from .components import ServiceName, _Frozen, _service_set, check_identifier
+from .components import ServiceName, _Frozen, _service_set, _state_ref, check_identifier
 from .errors import CigError, DuplicateTestId, SchemaError, UnreachableProvider
 
 if TYPE_CHECKING:  # generation imports cig and statechart where it runs, so that a library alone needs neither
@@ -38,14 +38,14 @@ class TestStep(_Frozen):
     expected_actions: tuple[ServiceName, ...]
 
     def __post_init__(self):
-        if isinstance(self.expected_state, str) or isinstance(self.expected_actions, str):
-            raise TypeError("a test step's expected_state and expected_actions are tuples, not strings")
+        if isinstance(self.expected_actions, str):
+            raise TypeError("a test step's expected_actions are a tuple, not a string")
         object.__setattr__(self, "event", ServiceName(self.event))
         if self.expected_state is not None:
-            component, state = self.expected_state
-            check_identifier(component, "component name")
-            check_identifier(state, "state name")
-            object.__setattr__(self, "expected_state", (component, state))
+            ref = _state_ref(self.expected_state, "a test step's expected_state")
+            check_identifier(ref[0], "component name")
+            check_identifier(ref[1], "state name")
+            object.__setattr__(self, "expected_state", ref)
         object.__setattr__(
             self, "expected_actions", tuple(ServiceName(a) for a in self.expected_actions)
         )

@@ -321,9 +321,9 @@ def test_edge_refs_have_exactly_two_items():
     edge = CigEdge(source=[VM, "SingleCoin"], target=[DISP, "Empty"], service="setCredit")
     assert edge.source == (VM, "SingleCoin") and type(edge.source) is tuple
     for ref in ((VM, "SingleCoin", "junk"), (VM,)):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="an edge's source must be a"):
             CigEdge(source=ref, target=(DISP, "Empty"), service="setCredit")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="an edge's target must be a"):
             CigEdge(source=(DISP, "Empty"), target=ref, service="setCredit")
 
 

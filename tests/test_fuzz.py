@@ -375,6 +375,20 @@ def test_loader_outcomes_are_pinned(documents):
     assert _loader_digest([str(documents[target]) for target in _LOADERS]) == _LOADER_DIGEST
 
 
+def test_loader_outcomes_do_not_depend_on_the_hash_seed(documents):
+    # one child per seed loads every mutant; no seed is set anywhere else
+    paths = json.dumps([str(documents[target]) for target in _LOADERS])
+    code = "import json, sys, test_fuzz\nprint(test_fuzz._loader_digest(json.loads(sys.argv[1])))"
+    path = (Path(__file__).resolve().parent, Path(cigkit.__file__).resolve().parent.parent)  # tests, then src
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    for seed in ("0", "1"):
+        child = subprocess.run(
+            [sys.executable, "-c", code, paths], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert child.stdout == _LOADER_DIGEST + "\n", seed
+
+
 def test_a_step_with_an_invalid_component_and_action_reports_the_component(documents):
     # a mutant the seeded ones miss: the loader gives a step the load's names
     # and must still leave the step to check its fields in order

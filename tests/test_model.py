@@ -135,6 +135,18 @@ def test_pickle_copy_and_deepcopy_give_an_equal_object(instances):
     for x in instances:
         for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+            # the constructor rebuilds the indexes the checks keep, which are not fields
+            if type(x) is Statechart:
+                assert twin.outgoing_index == x.outgoing_index
+            elif type(x) is ChartSet:
+                assert twin.names == x.names and all(twin.get(name) == x.get(name) for name in x.names)
+            elif type(x) is Cig:
+                assert all(twin.node(*node.ref) == node for node in x.nodes)
+
+
+def test_no_model_object_has_a_dict(instances):
+    # every attribute, the indexes the checks keep included, lives in a slot
+    assert {type(x).__name__ for x in instances if hasattr(x, "__dict__")} == set()
 
 
 def test_a_missing_unknown_or_repeated_argument_is_a_type_error(instances):
@@ -169,6 +181,20 @@ def test_a_string_or_a_plain_value_where_a_model_object_belongs_is_a_type_error(
         lambda: TestCase("t", "Owner", frozenset({"s"}), steps=["x"]),
     ):
         with pytest.raises(TypeError):
+            make()
+    # the message names the field: a bare unpack would not, and it would read
+    # a two-character string as a component and a state
+    for make, field in (
+        (lambda: TestStep("e", ("A", "B", "C")), "expected_state"),
+        (lambda: TestStep("e", ("A",)), "expected_state"),
+        (lambda: TestStep("e", 5), "expected_state"),
+        (lambda: TestStep("e", "AB"), "expected_state"),
+        (lambda: CigEdge("AB", ("C", "D"), "s"), "source"),
+        (lambda: CigEdge(("A", "B"), 5, "s"), "target"),
+        (lambda: Cig(("A", "B"), ("AX",), (), ()), "removed"),
+        (lambda: Cig(("A", "B"), (("A", "X", "Y"),), (), ()), "removed"),
+    ):
+        with pytest.raises(TypeError, match=field):
             make()
     step = TestStep("e", ["A", "B"], ["x"])
     assert (step.expected_state, step.expected_actions) == (("A", "B"), ("x",))

@@ -219,8 +219,8 @@ def test_outgoing_index_keeps_declaration_order_and_equality(vending_chart):
         assert all(vending_chart.transitions[i] is t for i, t in pairs)
         assert vending_chart.outgoing(state) == tuple(t for _, t in pairs)
     assert vending_chart.outgoing("Nowhere") == ()
-    # the index is a cache, not a field: a chart that built it still equals,
-    # hashes and prints like one that did not
+    # every chart builds the index in its checks, and it is not a field: it
+    # takes no part in equality, the hash or the repr
     assert vending_chart == fresh and hash(vending_chart) == hash(fresh)
     assert repr(vending_chart) == repr(fresh)
 
