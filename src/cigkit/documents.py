@@ -4,9 +4,9 @@ CIG, test library and composed library result.
 Each writer gives the bytes ``json.dumps(document, indent=2)`` gives, plus a
 newline, without building a dict tree. Each reader decodes with ``json.loads``,
 reports malformed input as a ``SchemaError`` and shares equal values, by value,
-in one memo per load. A test library is read a chunk and a case at a time, not
-held whole as text or tree; a library that reader does not take is read again
-whole, so its errors are the ones a whole-file read reports.
+in one memo per load. A test library in the shape every writer writes,
+``{"cases": [...]}``, is read a chunk and a case at a time, never held whole;
+any other document is read again whole, so a whole-file read decides it.
 """
 
 from __future__ import annotations
@@ -376,8 +376,8 @@ def _char(s: str, i: int) -> tuple[str, int]:
 
 def _stream_library(read: Callable[[int], str]) -> TestLibrary:
     """The library in the text of which ``read(n)`` gives the next ``n``
-    characters (fewer only at its end), decoded and built one case at a time.
-    Raises ``ValueError`` on any text it does not take."""
+    characters (fewer only at its end), built one case at a time from
+    ``{"cases": [...]}`` with any whitespace. Raises ``ValueError`` on any other text."""
     text, at, ended = "", 0, False
 
     def take(parse):
@@ -399,30 +399,15 @@ def _stream_library(read: Callable[[int], str]) -> TestLibrary:
             else:
                 ended = True
 
-    def items(close: str):
-        """Once per member of the object or array just opened, which ``close`` ends."""
-        char = take(_char) if take(lambda s, i: (s[i : i + 1], i)) == close else ","
-        while char == ",":
-            yield
-            char = take(_char)
-        if char != close:
-            raise ValueError(f"expected {close!r}")
-
-    cases, memo = None, {}
-    if take(_char) != "{":
-        raise ValueError("expected '{'")
-    for _ in items("}"):
-        key = take(_scan)
-        if type(key) is not str or take(_char) != ":":
-            raise ValueError("expected a key")
-        if key != "cases":
-            take(_scan)
-        elif take(_char) == "[":  # a second one replaces the first, as in json.loads
-            cases = [_case_from_dict(take(_scan), memo) for _ in items("]")]
-        else:
-            raise ValueError("expected a 'cases' array")
-    if cases is None or take(_char):
-        raise ValueError("expected a 'cases' array and nothing after the library")
+    if take(_char) != "{" or take(_scan) != "cases" or take(_char) != ":" or take(_char) != "[":
+        raise ValueError("expected '{\"cases\": ['")
+    cases, memo = [], {}
+    char = take(_char) if take(lambda s, i: (s[i : i + 1], i)) == "]" else ","
+    while char == ",":
+        cases.append(_case_from_dict(take(_scan), memo))
+        char = take(_char)
+    if char != "]" or take(_char) != "}" or take(_char):
+        raise ValueError("expected one 'cases' array and nothing after the library")
     return TestLibrary(tuple(cases))
 
 
@@ -437,9 +422,10 @@ def _library_from_chunks(read: Callable[[int], str], whole: Callable[[], str]) -
 def library_from_stream(stream: TextIO) -> TestLibrary:
     """The library in a text file, read ``_CHUNK`` characters and one case at a
     time. On anything that reader does not take (a JSON, UTF-8, schema or
-    duplicate-id error, data after the document) the file is read again
-    whole and decoded as one JSON text, so the result, or the error with its
-    message, line, column and whole-file byte offset, is a whole-file read's."""
+    duplicate-id error, data after the document, any shape but
+    ``{"cases": [...]}``) the file is read again whole and decoded as one JSON
+    text, so the result, or the error with its message, line, column and
+    whole-file byte offset, is a whole-file read's."""
     if not stream.seekable():  # a pipe cannot be read again
         return library_from_json(stream.read())
 

@@ -8,6 +8,7 @@ from cigkit import (
     ChartSet,
     Cig,
     CigEdge,
+    CigNode,
     InvalidIdentifier,
     DisjointnessViolation,
     Kind,
@@ -233,6 +234,23 @@ def test_cig_json_schema_errors():
             '{"components": ["A"], "removed": [], '
             '"nodes": [{"component": "A", "state": "X", "kinds": ["Q"]}], "edges": []}'
         )
+    x, y = {"component": "A", "state": "X"}, {"component": "A", "state": "Y"}
+    provided, required = {**x, "kinds": ["P"]}, {**y, "kinds": ["R"]}
+    for removed, nodes, edges, message in [
+        ([], [{**x, "kinds": ["G", "P"]}], [], "an intermediate state carries no other kind"),
+        ([], [provided, required], [{"from": x, "to": y, "service": "s"}], r"edge within one component: \('A', 'X'\) -> "),
+        ([x], [provided], [], r"removed state \('A', 'X'\) still appears as a node$"),
+    ]:
+        document = {"components": ["A"], "removed": removed, "nodes": nodes, "edges": edges}
+        with pytest.raises(SchemaError, match=f"^invalid CIG document: {message}"):
+            cig_from_json(json.dumps(document))
+
+
+def test_a_node_is_never_removed_and_an_intermediate_node_has_no_other_kind():
+    with pytest.raises(ValueError, match="^removed states may not appear as graph nodes$"):
+        CigNode("A", "X", {Kind.REMOVED})
+    with pytest.raises(ValueError, match="^an intermediate state carries no other kind$"):
+        CigNode("A", "X", {Kind.INTERMEDIATE, Kind.PROVIDED})
 
 
 def test_random_pairs_respect_graph_laws():

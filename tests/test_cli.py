@@ -706,6 +706,8 @@ _LIBRARY_FILES = {
     "a case longer than _CHUNK": (json.dumps({"cases": _authored(2, steps=300)}).encode(), 0),
     "trailing data": (_LONG + b"\n{}", 2),
     "an empty file": (b"", 2),
+    "an empty object": (b"{}", 2),
+    "a 'cases' object": (b'{"cases": {}}', 2),
     "a truncated file": (_LONG[: len(_LONG) // 2], 2),
 }
 
@@ -739,10 +741,45 @@ def test_tests_compose_reads_a_library_file_as_a_whole_file_read_does(capsys, tm
     assert (main(argv), capsys.readouterr()) == streamed
 
 
-def test_the_streamed_reader_lets_a_second_cases_array_replace_the_first():
-    # as json.loads does, so such a file takes no second, whole-file read
-    text = '{"cases": [], "cases": ' + _CASES.decode() + "}"
-    assert [case.id for case in cigkit.documents._stream_library(io.StringIO(text).read)] == ["vm_0", "vm_1", "vm_2"]
+def _outcome(read, text):
+    """The library ``read`` loads from ``text``, or the error's class and message."""
+    try:
+        return read(text)
+    except CigError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"cases": [], "cases": ' + _CASES.decode() + "}",
+        '{"about": 1, "cases": ' + _CASES.decode() + "}",
+        '{"cases": ' + _CASES.decode() + ', "more": "y"}',
+        "{}",
+        '{"cases": {}}',
+    ],
+    ids=["a second 'cases' key", "a key before 'cases'", "a key after 'cases'", "an empty object", "a 'cases' object"],
+)
+def test_the_streamed_reader_takes_only_a_lone_cases_array(monkeypatch, text):
+    # every writer writes {"cases": [...]}; any other document is read again
+    # whole, once, and gets the whole-file read's library or error
+    with pytest.raises(ValueError):
+        cigkit.documents._stream_library(io.StringIO(text).read)
+    wholes = 0
+    chunked = cigkit.documents._library_from_chunks
+
+    def counted(read, whole):
+        def counted_whole():
+            nonlocal wholes
+            wholes += 1
+            return whole()
+
+        return chunked(read, counted_whole)
+
+    monkeypatch.setattr(cigkit.documents, "_library_from_chunks", counted)
+    streamed = _outcome(lambda t: cigkit.documents.library_from_stream(io.StringIO(t)), text)
+    assert streamed == _outcome(oracle_library_from_json, text)
+    assert wholes == 1
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")

@@ -71,6 +71,8 @@ def test_internal_map_checked_and_sorted():
         Component(name="A", provided={"p"}, required={"r"}, internal_map={"x": "p"})
     with pytest.raises(ValueError):
         Component(name="A", provided={"p"}, required={"r"}, internal_map={"r": "x"})
+    with pytest.raises(ValueError, match="^component 'A': duplicate internal_map key$"):
+        Component(name="A", provided={"p", "q"}, required={"r"}, internal_map=(("r", "p"), ("r", "q")))
 
 
 def test_is_composable():
@@ -256,6 +258,8 @@ def test_component_json_schema_errors():
         component_from_json('{"name": "A", "provided": "x", "required": []}')
     with pytest.raises(DisjointnessViolation):
         component_from_json('{"name": "A", "provided": ["a"], "required": ["a"]}')
+    with pytest.raises(SchemaError, match="^component 'internal_map' must be an object$"):
+        component_from_json('{"name": "A", "provided": [], "required": [], "internal_map": []}')
 
 
 def test_composition_result_json_round_trip():

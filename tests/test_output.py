@@ -245,11 +245,19 @@ def test_loading_a_library_file_holds_a_few_chunks_beyond_the_library(tmp_path, 
 
 
 def test_the_chunked_reader_serves_every_well_formed_library(monkeypatch, tmp_path, inputs):
-    # only the whole-file read, the fallback for what the chunked reader refuses, calls _loads
-    empty = tmp_path / "empty.json"
-    empty.write_text('{"cases": []}', encoding="utf-8")
-    paths = [inputs["t1"], inputs["t2"], inputs["gen"], empty]
-    texts = [path.read_text(encoding="utf-8") for path in paths]
+    # only the whole-file read, the fallback for what the chunked reader refuses,
+    # calls _loads; the reader is strict on keys, never on whitespace
+    t1 = inputs["t1"].read_text(encoding="utf-8")
+    paths = [inputs["t1"], inputs["t2"], inputs["gen"]]
+    for name, text in [
+        ("empty.json", '{"cases": []}'),
+        ("spaced.json", '{ "cases" : [ ] }'),
+        ("compact.json", json.dumps(json.loads(t1))),
+        ("crlf.json", t1.replace("\n", "\r\n")),
+    ]:
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes(text.encode())
+    texts = [path.read_bytes().decode() for path in paths]
     expected = [oracle_library_from_json(text) for text in texts]
 
     def whole_file_read(text):
@@ -257,8 +265,9 @@ def test_the_chunked_reader_serves_every_well_formed_library(monkeypatch, tmp_pa
 
     monkeypatch.setattr(cigkit.documents, "_loads", whole_file_read)
     for path, text, library in zip(paths, texts, expected):
-        with path.open(encoding="utf-8") as stream:
-            assert library_from_stream(stream) == library
+        for newline in (None, ""):  # as the CLI opens a file, and with its line ends kept
+            with path.open(encoding="utf-8", newline=newline) as stream:
+                assert library_from_stream(stream) == library
         assert library_from_json(text) == library
 
 

@@ -63,6 +63,8 @@ def test_parse_reports_line_and_column():
 def test_parse_requires_component_header_first():
     with pytest.raises(ParseError, match="component"):
         parse_statechart("state X\ncomponent A\ninitial X\nend\n")
+    with pytest.raises(ParseError, match="^line 1: missing 'component' header$"):
+        parse_statechart("")
 
 
 def test_parse_rejects_duplicate_header():
@@ -81,6 +83,11 @@ def test_parse_rejects_duplicate_state():
 def test_parse_requires_initial():
     with pytest.raises(MissingInitial):
         parse_statechart("component A\nstate X\nend\n")
+
+
+def test_parse_rejects_a_second_initial():
+    with pytest.raises(ParseError, match="^line 4, column 1: duplicate 'initial' declaration$"):
+        parse_statechart("component A\nstate X\ninitial X\ninitial X\nend\n")
 
 
 def test_parse_rejects_undeclared_states():

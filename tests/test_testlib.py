@@ -10,6 +10,7 @@ from cigkit import (
     Cig,
     CigError,
     CigNode,
+    ComposedLibraryResult,
     DuplicateTestId,
     InvalidIdentifier,
     Kind,
@@ -543,3 +544,15 @@ def test_composed_result_json_round_trip(fixture_charts):
     assert composed_result_from_json(text) == result
     with pytest.raises(SchemaError):
         composed_result_from_json('{"retained": {"cases": []}}')
+    with pytest.raises(SchemaError, match="^composed library result must be a JSON object$"):
+        composed_result_from_json("[]")
+
+
+def test_a_composed_result_keeps_no_case_both_retained_and_removed():
+    both = TestLibrary((_case("a", {"setCredit"}),))
+    with pytest.raises(ValueError, match="^a case cannot be both retained and removed$"):
+        ComposedLibraryResult(retained=both, removed=both, generated=TestLibrary(), final=both)
+    part = json.loads(library_to_json(both))
+    document = {"retained": part, "removed": part, "generated": {"cases": []}, "final": part}
+    with pytest.raises(SchemaError, match="^invalid composed library result: a case cannot be both"):
+        composed_result_from_json(json.dumps(document))
