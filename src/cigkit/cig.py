@@ -145,6 +145,7 @@ def _scan(charts: ChartSet):
     acceptors: dict[ServiceName, list[StateRef]] = {}
     outgoing: dict[StateRef, tuple[tuple[int, Transition], ...]] = {}
     for chart in charts:
+        extract_interfaces(chart)  # DisjointnessViolation: no component is on both sides of a service
         for state, pairs in chart.outgoing_index.items():
             ref = (chart.component_name, state)
             outgoing[ref] = pairs
@@ -156,23 +157,21 @@ def _scan(charts: ChartSet):
 
 
 def _cross(emitters, acceptors, excluded: frozenset[StateRef]) -> dict[ServiceName, ServiceSides]:
+    """Services with an emitter and an acceptor outside ``excluded``; disjointness puts them in two components."""
     out: dict[ServiceName, ServiceSides] = {}
     for service in sorted(set(emitters) & set(acceptors)):
-        emitting = [ref for ref in emitters[service] if ref not in excluded]
-        accepting = [ref for ref in acceptors[service] if ref not in excluded]
-        emit = [e for e in emitting if any(a[0] != e[0] for a in accepting)]
-        accept = [a for a in accepting if any(e[0] != a[0] for e in emitting)]
+        emit = tuple(ref for ref in emitters[service] if ref not in excluded)
+        accept = tuple(ref for ref in acceptors[service] if ref not in excluded)
         if emit and accept:
-            out[service] = ServiceSides(emitters=tuple(emit), acceptors=tuple(accept))
+            out[service] = ServiceSides(emitters=emit, acceptors=accept)
     return out
 
 
 def cross_services(charts: ChartSet) -> dict[ServiceName, ServiceSides]:
     """Map each service to the states that emit it and the states that accept it.
 
-    Only services with at least one emitter and one acceptor in different
-    components are kept; one-sided names are environment services. Keys are
-    sorted; sides follow chart and state declaration order.
+    One-sided names are environment services. Disjoint charts (else DisjointnessViolation)
+    put the two sides in different components. Keys are sorted; sides keep chart and state order.
     """
     emitters, acceptors, _ = _scan(charts)
     return _cross(emitters, acceptors, frozenset())
@@ -247,8 +246,6 @@ def build_cig(charts: ChartSet) -> Cig:
     remain once switching states are removed.
     """
     analysis = _analyze(charts)
-    for chart in charts:
-        extract_interfaces(chart)  # surfaces DisjointnessViolation before NoInteraction
     if not analysis.interacts:
         raise NoInteraction("the charts share no services; nothing interacts")
     if not analysis.cross:
@@ -259,7 +256,6 @@ def build_cig(charts: ChartSet) -> Cig:
         for service, sides in analysis.cross.items()
         for emitter in sides.emitters
         for acceptor in sides.acceptors
-        if emitter[0] != acceptor[0]
     ]
     edges.sort(key=lambda e: (order[e.source], str(e.service), order[e.target]))
     return Cig(

@@ -20,6 +20,7 @@ from cigkit import (
     cig_to_json,
     classify_states,
     cross_services,
+    extract_interfaces,
     find_switching_states,
     format_kinds,
     parse_statechart,
@@ -196,6 +197,27 @@ def test_build_cig_rejects_interaction_lost_to_removal():
         build_cig(charts)
 
 
+def test_analysis_rejects_a_chart_on_both_sides_of_a_service():
+    a = "component A\nstate X\ninitial X\ntransition X -> X on go do ping\nend\n"
+    b = "component B\nstate Y\ninitial Y\ntransition Y -> Y on ping do ping\nend\n"
+    c = "component C\nstate Z\ninitial Z\ntransition Z -> Z on pong do pong\nend\n"
+    with pytest.raises(DisjointnessViolation, match="'B' both accepts and emits: ping") as expected:
+        extract_interfaces(parse_statechart(b))
+    analyses = (cross_services, find_switching_states, classify_states, build_cig)
+    for analysis in analyses:
+        with pytest.raises(DisjointnessViolation) as raised:
+            analysis(_pair(a, b))
+        assert str(raised.value) == str(expected.value)
+    for analysis in analyses:  # two bad charts: the first in chart order is named
+        with pytest.raises(DisjointnessViolation, match="'C'"):
+            analysis(ChartSet(tuple(parse_statechart(t) for t in (a, c, b))))
+    # a bad set that shares no services is malformed before it is inert
+    with pytest.raises(DisjointnessViolation, match="'C'"):
+        build_cig(_pair(c, "component D\nstate W\ninitial W\ntransition W -> W on go\nend\n"))
+    with pytest.raises(ValueError, match="two statecharts"):
+        build_cig(ChartSet((parse_statechart(b),)))
+
+
 def test_build_cig_requires_two_charts(vending_chart):
     with pytest.raises(ValueError):
         build_cig(ChartSet((vending_chart,)))
@@ -288,12 +310,22 @@ def test_random_pairs_respect_graph_laws():
 
 def test_analysis_matches_three_pass_oracle():
     rng = random.Random(2024)
-    built = removals = 0
+    built = removals = violations = 0
     for i in range(600):
         count = 2 + i % 3
         charts = ChartSet(
             tuple(random_interacting_pair(rng)) if count == 2 and i % 2 else tuple(random_chart_set(rng, count))
         )
+        try:
+            for chart in charts:
+                extract_interfaces(chart)
+        except DisjointnessViolation as exc:
+            violations += 1
+            for analysis in (cross_services, find_switching_states, classify_states, build_cig):
+                with pytest.raises(DisjointnessViolation) as raised:
+                    analysis(charts)
+                assert str(raised.value) == str(exc)
+            continue
         shared, removed, kinds, edges = oracle_classify(charts)
         classification = classify_states(charts)
         assert {ref: {k.value for k in ks} for ref, ks in classification.items()} == kinds
@@ -301,8 +333,6 @@ def test_analysis_matches_three_pass_oracle():
         assert find_switching_states(charts) == removed
         try:
             cig = build_cig(charts)
-        except DisjointnessViolation:
-            continue
         except NoInteraction as exc:
             assert not edges
             assert ("share no services" in str(exc)) == (not shared)
@@ -319,6 +349,7 @@ def test_analysis_matches_three_pass_oracle():
             (*ref, format_kinds(ks)) for ref, ks in classification.items()
         ]
     assert built >= 300 and removals >= 50  # the sets must reach removal and edges
+    assert violations  # and some must fail the disjointness check
 
 
 def test_cig_rejects_duplicate_edge(fixture_charts):
